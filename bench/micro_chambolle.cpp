@@ -424,7 +424,7 @@ ResidentComparison measure_resident_vs_reload(int threads) {
   out.reload_ms = repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
                                kTrajectoryRepeats);
   out.one_shot_ms = repeat_ms_of(
-      [&] { (void)solve_resident(v, params, opt, &out.stats); },
+      [&] { (void)solve_resident(v, params, opt, {}, nullptr, &out.stats); },
       kTrajectoryRepeats);
   ResidentTiledEngine engine(v, params, opt);
   engine.run(params.iterations);  // warm the resident buffers
@@ -452,7 +452,7 @@ Matrix<float> half_static_field(int rows, int cols) {
 struct AdaptiveComparison {
   telemetry::RepeatStats fixed_ms;
   telemetry::RepeatStats adaptive_ms;
-  ResidentAdaptiveReport report;  // of the last adaptive solve
+  RunReport report;  // of the last adaptive solve
   [[nodiscard]] double speedup() const {
     return adaptive_ms.median > 0.0 ? fixed_ms.median / adaptive_ms.median
                                     : 0.0;
@@ -465,15 +465,15 @@ AdaptiveComparison measure_adaptive_vs_fixed(int threads) {
   const ChambolleParams params = bench_params(kIters);
   TiledSolverOptions opt;  // the paper's 88 x 92 window, merge depth 4
   opt.num_threads = threads;
-  ResidentAdaptiveOptions adaptive;  // tol 1e-4, patience 2
-  adaptive.max_passes = 0;           // = the fixed budget
+  RunPolicy adaptive;
+  adaptive.retire = RetirementRule{};  // tol 1e-4, patience 2
   AdaptiveComparison out;
   (void)solve_resident(v, params, opt);  // warm up pool + page in the frame
   out.fixed_ms = repeat_ms_of([&] { (void)solve_resident(v, params, opt); },
                               kTrajectoryRepeats);
   out.adaptive_ms = repeat_ms_of(
       [&] {
-        (void)solve_resident_adaptive(v, params, opt, adaptive, &out.report);
+        (void)solve_resident(v, params, opt, adaptive, &out.report);
       },
       kTrajectoryRepeats);
   return out;

@@ -7,8 +7,8 @@
 // across resolutions.  The resident engine propagates information one halo
 // strip per pass, so the pass count to drain GLOBAL low-frequency error
 // grows with frame size; the multi-level coarse-grid correction
-// (run_multilevel) moves that error in one coarse solve, keeping the pass
-// count roughly flat — the sublinear-scaling claim this bench measures.
+// (RunPolicy::multilevel) moves that error in one coarse solve, keeping the
+// pass count roughly flat — the sublinear-scaling claim this bench measures.
 //
 // Protocol (time-to-quality): every engine runs chunked (32 passes per
 // chunk) on the same stiff smooth workload, probing after each chunk with
@@ -95,21 +95,19 @@ RunOutcome run_engine(Mode mode, const Image& v, const ChambolleParams& params,
         engine.run(kChunk * opt.merge_iterations);
         break;
       case Mode::kAdaptive: {
-        ResidentAdaptiveOptions ao;
-        ao.tolerance = 1e-30f;  // probe decides the stop, not retirement
-        ao.patience = 1;
-        ao.max_passes = kChunk;
-        (void)engine.run_adaptive(ao);
+        RunPolicy ao;
+        // The probe decides the stop, not retirement.
+        ao.retire = RetirementRule{1e-30f, 1};
+        (void)engine.run(kChunk * opt.merge_iterations, ao);
         break;
       }
       case Mode::kMultilevel: {
-        ResidentMultilevelOptions ml;
-        ml.adaptive.tolerance = 1e-30f;
-        ml.adaptive.patience = 1;
-        ml.adaptive.max_passes = kChunk;
+        RunPolicy ml;
+        ml.retire = RetirementRule{1e-30f, 1};
         ml.multilevel.period = 2;
         ml.multilevel.levels = 1;
-        out.coarse_solves += engine.run_multilevel(ml).coarse_solves;
+        out.coarse_solves +=
+            engine.run(kChunk * opt.merge_iterations, ml).coarse_solves;
         break;
       }
     }

@@ -140,6 +140,10 @@ int main(int argc, char** argv) {
   params.chambolle.iterations = 50;
   bool use_accel = false;
   bool solver_given = false;
+  // --tol/--patience may come before --adaptive; the rule is applied to the
+  // resident policy only when early stopping is switched on.
+  bool adaptive = false;
+  RetirementRule retire_rule;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -228,27 +232,29 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--adaptive") {
-      params.adaptive_stopping = true;
+      adaptive = true;
     } else if (arg == "--tol") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_float("--tol", n, 1e-12f, 1e3f, params.adaptive.tolerance))
+      if (!flag_float("--tol", n, 1e-12f, 1e3f, retire_rule.tolerance))
         return 2;
     } else if (arg == "--patience") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--patience", n, 1, 1 << 20, params.adaptive.patience))
+      if (!flag_int("--patience", n, 1, 1 << 20, retire_rule.patience))
         return 2;
     } else if (arg == "--ml-period") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--ml-period", n, 1, 1 << 20, params.multilevel.period))
+      if (!flag_int("--ml-period", n, 1, 1 << 20,
+                    params.resident_policy.multilevel.period))
         return 2;
-      params.adaptive_stopping = true;  // run_multilevel rides the adaptive path
+      adaptive = true;  // the correction rides the retirement policy
     } else if (arg == "--ml-levels") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--ml-levels", n, 0, 16, params.multilevel.levels))
+      if (!flag_int("--ml-levels", n, 0, 16,
+                    params.resident_policy.multilevel.levels))
         return 2;
     } else if (arg == "--median") {
       params.median_filtering = true;
@@ -284,6 +290,7 @@ int main(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
+  if (adaptive) params.resident_policy.retire = retire_rule;
 
   if (positional.size() <= 1) {
     // Self-demo: synthesize a frame pair and run on it; an optional single

@@ -8,7 +8,7 @@
 // small fused-kernel Chambolle solve on the coarsest level — where one
 // iteration couples cells 2^levels fine cells apart — and prolongates the
 // accumulated dual increment back up as a fine-level correction field
-// (delta_px, delta_py).  The engine scatters that field into the pinned
+// (delta_px, delta_py).  The engine scatters that field into the resident
 // per-tile buffers at a rendezvous pass (resident_tiled.cpp); this class
 // knows nothing about tiles or threads.
 //

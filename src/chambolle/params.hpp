@@ -43,9 +43,9 @@ struct ChambolleParams {
 };
 
 /// Options of the multi-level coarse-grid correction the resident-tile
-/// engine composes with its halo-exchange passes (run_multilevel): every
-/// `period` fine passes the current dual state is restricted down `levels`
-/// grids, a small Chambolle solve runs on the coarsest level, and the
+/// engine composes with its halo-exchange passes (RunPolicy::multilevel):
+/// every `period` fine passes the current dual state is restricted down
+/// `levels` grids, a small Chambolle solve runs on the coarsest level, and the
 /// prolongated dual correction is scattered back into the tile buffers.
 /// The point (Gilliocq-Hirtz & Belhachmi's multi-level domain decomposition;
 /// Hilb & Langer's decomposition framework): low-frequency error otherwise
@@ -61,7 +61,8 @@ struct ChambolleParams {
 /// cancelled by the 2x theta ratio between levels).
 struct MultilevelOptions {
   /// Fine halo-exchange passes between corrections; <= 0 disables the
-  /// correction entirely (run_multilevel then IS run_adaptive, bit for bit).
+  /// correction entirely (the run is then the plain retirement policy, bit
+  /// for bit).
   int period = 8;
   /// Coarse levels below the fine grid (factor 2^levels per dimension).
   /// 0 = auto: a single coarse level — with the default iteration budgets a
@@ -81,7 +82,7 @@ struct MultilevelOptions {
   float prolong_scale = 1.0f;
   /// A RETIRED tile is un-retired (resumes passes) when the correction
   /// magnitude inside its profitable region exceeds
-  /// unretire_factor * ResidentAdaptiveOptions::tolerance; below that the
+  /// unretire_factor * RetirementRule::tolerance; below that the
   /// correction is applied to its frozen state without resurrecting it.
   float unretire_factor = 1.0f;
   /// Progress gate: a correction fires only when the fine primal's drift

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chambolle/multilevel.hpp"
 #include "common/stopwatch.hpp"
+#include "common/validation.hpp"
 #include "kernels/kernel.hpp"
 #include "kernels/strips.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -30,7 +32,7 @@ struct ResidentTiledEngine::TileBuffers {
 /// then py rows).  Publication/consumption is ordered by the EpochGraph's
 /// release/acquire epoch protocol; the skew bound (neighbors never more
 /// than one pass apart) keeps the two slots from colliding.  A tile retired
-/// by run_adaptive() stops publishing: gathers are redirected to its final
+/// by a retirement policy stops publishing: gathers are redirected to its final
 /// strips by the frozen_pass_ marker (see gather_halos / mark_frozen).
 struct ResidentTiledEngine::Mailbox {
   HaloEdge edge;
@@ -39,6 +41,34 @@ struct ResidentTiledEngine::Mailbox {
   std::vector<float> slot[2];
 };
 
+namespace {
+
+/// Shape and finiteness screen of an engine input: v, and the warm-start
+/// duals when given.  Runs before any state changes, so a NaN frame is
+/// rejected without poisoning the resident duals a stream keeps warm.
+void validate_inputs(const Matrix<float>& v, const DualField* initial,
+                     const std::string& who) {
+  require_finite(v, who + ": v");
+  if (initial == nullptr) return;
+  if (!initial->px.same_shape(v) || !initial->py.same_shape(v))
+    throw std::invalid_argument(who + ": initial dual shape mismatch");
+  require_finite(initial->px, who + ": initial px");
+  require_finite(initial->py, who + ": initial py");
+}
+
+/// max |m| over the frame rectangle [r0, r0+rows) x [c0, c0+cols).
+float max_abs_rect(const Matrix<float>& m, int r0, int c0, int rows,
+                   int cols) {
+  float best = 0.f;
+  for (int r = 0; r < rows; ++r) {
+    const float* p = &m(r0 + r, c0);
+    for (int c = 0; c < cols; ++c) best = std::max(best, std::fabs(p[c]));
+  }
+  return best;
+}
+
+}  // namespace
+
 ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
                                          const ChambolleParams& params,
                                          const TiledSolverOptions& options,
@@ -46,10 +76,7 @@ ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
     : params_(params), options_(options), frame_v_(v) {
   params_.validate();
   options_.validate();
-  if (initial != nullptr &&
-      (!initial->px.same_shape(v) || !initial->py.same_shape(v)))
-    throw std::invalid_argument(
-        "ResidentTiledEngine: initial dual shape mismatch");
+  validate_inputs(v, initial, "ResidentTiledEngine");
   plan_ = make_tiling(v.rows(), v.cols(), options_.tile_rows,
                       options_.tile_cols, options_.merge_iterations);
 
@@ -101,17 +128,20 @@ ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
 
 ResidentTiledEngine::~ResidentTiledEngine() = default;
 
-void ResidentAdaptiveOptions::validate() const {
+void RetirementRule::validate() const {
   if (!(tolerance > 0.f) || !std::isfinite(tolerance))
     throw std::invalid_argument(
-        "ResidentAdaptiveOptions: tolerance must be finite and > 0");
+        "RetirementRule: tolerance must be finite and > 0");
   if (patience < 1)
-    throw std::invalid_argument("ResidentAdaptiveOptions: patience < 1");
-  if (max_passes < 1)
-    throw std::invalid_argument("ResidentAdaptiveOptions: max_passes < 1");
-  if (final_pass_iterations < 0)
+    throw std::invalid_argument("RetirementRule: patience < 1");
+}
+
+void RunPolicy::validate() const {
+  if (retire) retire->validate();
+  multilevel.validate();
+  if (multilevel.enabled() && !retire)
     throw std::invalid_argument(
-        "ResidentAdaptiveOptions: final_pass_iterations < 0");
+        "RunPolicy: the multilevel correction requires a retirement rule");
 }
 
 void ResidentTiledEngine::gather_halos(std::size_t ti, int g) {
@@ -167,7 +197,7 @@ void ResidentTiledEngine::mark_frozen(std::size_t ti, int g) {
   // slot[(g - 1) & 1] == slot[(g + 1) & 1], and the epoch protocol only
   // guarantees that reader our epoch >= g — which already holds while we
   // run pass g, so no release/acquire pair orders such a copy against its
-  // gather.  The cross-parity mirror is deferred to run_adaptive()'s
+  // gather.  The cross-parity mirror is deferred to run()'s
   // epilogue, when every lane has joined and no reader can exist.
   frozen_pass_[ti].store(g, std::memory_order_release);
 }
@@ -195,7 +225,7 @@ void ResidentTiledEngine::load_duals(const DualField* initial) {
   }
   // A full buffer load (halo included) makes the mailboxes irrelevant until
   // the next publish; restart the pass/parity clock.  Frozen-pass markers
-  // must go with it: a completed adaptive run clears them in its epilogue,
+  // must go with it: a completed run clears them in its epilogue,
   // but a run aborted by a body exception leaves them set, and a marker
   // surviving into the next solve would redirect gathers to a stale frozen
   // strip of the PREVIOUS stream — the engine-reuse leak a pooled fleet
@@ -207,325 +237,60 @@ void ResidentTiledEngine::load_duals(const DualField* initial) {
   pass_count_ = 0;
 }
 
-void ResidentTiledEngine::run(int iterations) {
+RunReport ResidentTiledEngine::run(int iterations, const RunPolicy& policy) {
   if (iterations < 0)
     throw std::invalid_argument("ResidentTiledEngine::run: iterations < 0");
-  if (iterations == 0) return;
-  const telemetry::TraceSpan span("chambolle.resident.run");
-  telemetry::flight_mark("resident.run", static_cast<double>(iterations));
-
-  // A completed adaptive run mirrors frozen strips into both parities and
-  // clears the markers in its epilogue, but an exception-aborted one leaves
-  // them set — and a stale marker would redirect this run's gathers to a
-  // long-dead frozen slot.  The fixed-budget schedule never freezes, so the
-  // markers must be clear here; reset defensively (same as run_adaptive).
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
-  // Pass schedule: merge_iterations per pass, remainder last.  Every k is
-  // <= plan_.halo, which is what keeps profitable cells' dependency cones
-  // inside the buffer.
-  std::vector<int> pass_iters;
-  for (int remaining = iterations; remaining > 0;) {
-    const int k = std::min(remaining, options_.merge_iterations);
-    pass_iters.push_back(k);
-    remaining -= k;
-  }
-  const int passes = static_cast<int>(pass_iters.size());
-  const int base = pass_count_;
-
-  const float inv_theta = 1.f / params_.theta;
-  const float step = params_.step();
-  const int lanes = pool().lanes_for(options_.num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
-
-  const auto body = [&](int node, int epoch, int lane) {
-    const std::size_t ti = static_cast<std::size_t>(node);
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
-    const int g = base + epoch;  // global pass index since the last reload
-    if (g > 0) gather_halos(ti, g);
-    const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
-                              plan_.frame_cols};
-    {
-      // Timed by hand (not ProfScope) because the per-tile attribution needs
-      // the same measurement twice; no clock is read without a session.
-      const bool prof = telemetry::profiler_active();
-      const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
-      kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    pass_iters[static_cast<std::size_t>(epoch)],
-                                    scratch[lane]);
-      if (prof) {
-        const double kernel_seconds =
-            static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
-        telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
-        telemetry::profiler_add_tile(node, kernel_seconds);
-      }
-    }
-    publish_strips(ti, g);
-  };
-
-  const parallel::EpochGraph::RunStats rs =
-      graph_->run(passes, lanes, pool(), body);
-  pass_count_ += passes;
-
-  stats_.passes += passes;
-  stats_.stall_seconds += rs.stall_seconds;
-  stats_.stall_spins += rs.stall_spins;
-  stats_.halo_bytes_exchanged +=
-      static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
-      sizeof(float) * static_cast<std::uint64_t>(passes);
-  for (const int k : pass_iters)
-    stats_.element_iterations +=
-        plan_.total_buffer_elements() * static_cast<std::size_t>(k);
-
-  static telemetry::Counter& c_passes =
-      telemetry::registry().counter("tiles.passes");
-  static telemetry::Counter& c_halo =
-      telemetry::registry().counter("tiles.halo_bytes");
-  static telemetry::Counter& c_stall =
-      telemetry::registry().counter("tiles.stall_micros");
-  static telemetry::Counter& c_spins =
-      telemetry::registry().counter("tiles.stall_spins");
-  c_passes.add(static_cast<std::uint64_t>(passes));
-  c_halo.add(static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
-             sizeof(float) * static_cast<std::uint64_t>(passes));
-  c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
-  c_spins.add(rs.stall_spins);
-  // Per-pass traffic of this engine vs. the reload engine's two full frames
-  // in and out (4 floats/cell): the acceptance-criterion ratio.
-  const double frame_reload_bytes =
-      4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
-      static_cast<double>(plan_.frame_cols);
-  telemetry::registry()
-      .gauge("tiles.halo_traffic_fraction")
-      .set(frame_reload_bytes > 0.0
-               ? static_cast<double>(stats_.halo_elements_per_pass) *
-                     sizeof(float) / frame_reload_bytes
-               : 0.0);
-}
-
-ResidentAdaptiveReport ResidentTiledEngine::run_adaptive(
-    const ResidentAdaptiveOptions& options) {
-  options.validate();
-  const telemetry::TraceSpan span("chambolle.resident.run_adaptive");
-  telemetry::flight_mark("resident.run_adaptive",
-                         static_cast<double>(options.max_passes));
-
-  if (options.final_pass_iterations > options_.merge_iterations)
-    throw std::invalid_argument(
-        "run_adaptive: final_pass_iterations exceeds the merge depth");
-
+  policy.validate();
   const std::size_t n = tiles_.size();
-  ResidentAdaptiveReport report;
-  report.pass_cap = options.max_passes;
+  RunReport report;
   report.tiles = n;
   report.tile_passes.assign(n, 0);
   report.tile_residuals.assign(n, 0.f);
-  if (n == 0) return report;
+  if (iterations == 0) return report;
+  const telemetry::TraceSpan span("chambolle.resident.run");
+  telemetry::flight_mark("resident.run", static_cast<double>(iterations));
 
+  // Pass schedule: merge_iterations per pass, the remainder last.  Every
+  // burst is <= plan_.halo, which is what keeps profitable cells'
+  // dependency cones inside the buffer.
+  const int merge = options_.merge_iterations;
+  const int passes = (iterations + merge - 1) / merge;
+  const int last_burst = iterations - (passes - 1) * merge;
+  report.pass_cap = passes;
+
+  // A completed run clears the frozen-pass markers in its epilogue, but an
+  // exception-aborted one leaves them set — and a stale marker would
+  // redirect this run's gathers to a long-dead frozen slot.
+  for (std::atomic<int>& f : frozen_pass_)
+    f.store(-1, std::memory_order_relaxed);
+
+  const RetirementRule* retire = policy.retire ? &*policy.retire : nullptr;
   // Consecutive under-tolerance passes per tile.  Only the claiming lane for
-  // a (tile, pass) touches a tile's entry, and claims of successive passes
-  // are ordered by the epoch release/acquire chain, so plain ints are safe
-  // even under work stealing.
+  // a (tile, pass) touches a tile's entries here, and claims of successive
+  // passes are ordered by the epoch release/acquire chain, so plain ints are
+  // safe even under work stealing.
   std::vector<int> streak(n, 0);
+  std::vector<std::size_t> tile_iterations(n, 0);
 
-  // Markers are cleared by the previous adaptive run's epilogue; reset
-  // defensively in case that run aborted via a body exception mid-flight.
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
-  const int base = pass_count_;
-  const float inv_theta = 1.f / params_.theta;
-  const float step = params_.step();
-  const int lanes = pool().lanes_for(options_.num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
-
-  const auto body = [&](int node, int epoch, int lane) -> bool {
-    const std::size_t ti = static_cast<std::size_t>(node);
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
-    const int g = base + epoch;  // global pass index since the last reload
-    if (g > 0) gather_halos(ti, g);
-    const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
-                              plan_.frame_cols};
-    // run()'s remainder schedule: the last pass of the cap may be a
-    // truncated burst so the cap lands on an exact iteration budget.
-    const int burst = (epoch == options.max_passes - 1 &&
-                       options.final_pass_iterations > 0)
-                          ? options.final_pass_iterations
-                          : options_.merge_iterations;
-    float residual = 0.f;
-    {
-      // Timed by hand (not ProfScope) because the per-tile attribution needs
-      // the same measurement twice; no clock is read without a session.
-      const bool prof = telemetry::profiler_active();
-      const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
-      kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    burst, scratch[lane], &residual);
-      if (prof) {
-        const double kernel_seconds =
-            static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
-        telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
-        telemetry::profiler_add_tile(node, kernel_seconds);
-      }
-    }
-    publish_strips(ti, g);
-    report.tile_passes[ti] = epoch + 1;
-    report.tile_residuals[ti] = residual;
-    // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
-    // the same single-iteration semantics as solve_adaptive, so the same
-    // tolerance means the same thing regardless of merge depth.  Halo cells
-    // are included — conservative: a tile only retires once its neighborhood
-    // influence has also stilled.
-    if (residual < options.tolerance) {
-      if (++streak[ti] >= options.patience) {
-        mark_frozen(ti, g);
-        return true;  // retire: EpochGraph publishes the terminal epoch
-      }
-    } else {
-      streak[ti] = 0;
-    }
-    return false;
-  };
-
-  const parallel::EpochGraph::RunStats rs =
-      graph_->run_adaptive(options.max_passes, lanes, pool(), body);
-  // Quiescent epilogue (every lane has joined): mirror each retired tile's
-  // final strips into the other parity slot and clear its marker, so later
-  // run()/run_adaptive() calls — whose gathers assume the live parity —
-  // read the frozen state no matter how many passes each tile actually
-  // executed.  This copy is exactly the write that would race a concurrent
-  // gather during the run (see mark_frozen); here no reader exists.
-  for (std::size_t i = 0; i < n; ++i) {
-    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-    if (f < 0) continue;
-    for (const int mi : out_edges_[i]) {
-      Mailbox& m = mail_[static_cast<std::size_t>(mi)];
-      m.slot[(f + 1) & 1] = m.slot[f & 1];
-    }
-    frozen_pass_[i].store(-1, std::memory_order_relaxed);
-  }
-  // The parity clock advances by the full cap.
-  pass_count_ += options.max_passes;
-
-  report.tiles_converged = rs.retired_nodes;
-  report.total_tile_passes = rs.executed_passes;
-  report.stolen_passes = rs.stolen_passes;
-
-  stats_.passes += options.max_passes;
-  stats_.stall_seconds += rs.stall_seconds;
-  stats_.stall_spins += rs.stall_spins;
-  std::uint64_t halo_floats = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t out_elems = 0;
-    for (const int mi : out_edges_[i])
-      out_elems += 2 * mail_[static_cast<std::size_t>(mi)].edge.elements();
-    halo_floats += static_cast<std::uint64_t>(out_elems) *
-                   static_cast<std::uint64_t>(report.tile_passes[i]);
-    std::size_t iters = static_cast<std::size_t>(report.tile_passes[i]) *
-                        static_cast<std::size_t>(options_.merge_iterations);
-    // A tile that reached the cap's final pass ran the truncated burst there.
-    if (options.final_pass_iterations > 0 &&
-        report.tile_passes[i] == options.max_passes)
-      iters -= static_cast<std::size_t>(options_.merge_iterations -
-                                        options.final_pass_iterations);
-    report.total_iterations += iters;
-    stats_.element_iterations += plan_.tiles[i].buffer_elements() * iters;
-  }
-  stats_.halo_bytes_exchanged += halo_floats * sizeof(float);
-
-  static telemetry::Counter& c_passes =
-      telemetry::registry().counter("tiles.passes");
-  static telemetry::Counter& c_halo =
-      telemetry::registry().counter("tiles.halo_bytes");
-  static telemetry::Counter& c_stall =
-      telemetry::registry().counter("tiles.stall_micros");
-  static telemetry::Counter& c_spins =
-      telemetry::registry().counter("tiles.stall_spins");
-  static telemetry::Counter& c_converged =
-      telemetry::registry().counter("tiles.converged");
-  static telemetry::Counter& c_stolen =
-      telemetry::registry().counter("tiles.stolen_passes");
-  static telemetry::Histogram& h_passes = telemetry::registry().histogram(
-      "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
-  c_passes.add(rs.executed_passes);
-  c_halo.add(halo_floats * sizeof(float));
-  c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
-  c_spins.add(rs.stall_spins);
-  c_converged.add(rs.retired_nodes);
-  c_stolen.add(rs.stolen_passes);
-  for (const int p : report.tile_passes) h_passes.observe(p);
-  telemetry::registry()
-      .gauge("tiles.adaptive_pass_savings")
-      .set(report.pass_savings());
-  return report;
-}
-
-namespace {
-
-/// max |m| over the frame rectangle [r0, r0+rows) x [c0, c0+cols).
-float max_abs_rect(const Matrix<float>& m, int r0, int c0, int rows,
-                   int cols) {
-  float best = 0.f;
-  for (int r = 0; r < rows; ++r) {
-    const float* p = &m(r0 + r, c0);
-    for (int c = 0; c < cols; ++c) best = std::max(best, std::fabs(p[c]));
-  }
-  return best;
-}
-
-}  // namespace
-
-ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
-    const ResidentMultilevelOptions& options) {
-  options.validate();
-  ResidentMultilevelReport report;
-
-  // Disabled / degenerate configurations delegate verbatim — the bit-exact
-  // contract of the fixed-budget path rests on this being the SAME code.
-  const int levels = CoarseCorrector::resolve_levels(
-      plan_.frame_rows, plan_.frame_cols, options.multilevel);
-  const int period = options.multilevel.period;
-  const int num_firings =
-      period > 0 ? (options.adaptive.max_passes - 1) / period : 0;
-  if (levels == 0 || num_firings == 0 || tiles_.empty()) {
-    report.adaptive = run_adaptive(options.adaptive);
-    return report;
-  }
-
-  const telemetry::TraceSpan span("chambolle.resident.run_multilevel");
-  telemetry::flight_mark("resident.run_multilevel",
-                         static_cast<double>(options.adaptive.max_passes));
-  if (options.adaptive.final_pass_iterations > options_.merge_iterations)
-    throw std::invalid_argument(
-        "run_multilevel: final_pass_iterations exceeds the merge depth");
-
-  const std::size_t n = tiles_.size();
-  report.adaptive.pass_cap = options.adaptive.max_passes;
-  report.adaptive.tiles = n;
-  report.adaptive.tile_passes.assign(n, 0);
-  report.adaptive.tile_residuals.assign(n, 0.f);
-  report.coarse_levels = levels;
-
-  std::vector<int> streak(n, 0);
-  // Whether the tile executed the cap's final (possibly truncated) pass —
-  // needed for exact iteration accounting, since a resurrected tile's pass
-  // history is not contiguous.
-  std::vector<char> ran_final(n, 0);
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
+  // The coarse correction runs only when at least one firing is realizable
+  // (a boundary strictly inside the cap) on a frame that can coarsen.
+  const int period = policy.multilevel.period;
+  const bool correct =
+      retire != nullptr && period > 0 && (passes - 1) / period > 0 &&
+      CoarseCorrector::resolve_levels(plan_.frame_rows, plan_.frame_cols,
+                                      policy.multilevel) > 0;
   CoarseCorrector corrector;
-  corrector.setup(frame_v_, params_, options.multilevel);
+  if (correct) {
+    corrector.setup(frame_v_, params_, policy.multilevel);
+    report.coarse_levels = corrector.levels();
+  }
   DualField snap;
-  const float unretire_tol =
-      options.multilevel.unretire_factor * options.adaptive.tolerance;
   // The boundary whose rendezvous actually applied a correction (-1 = none):
   // written inside the exclusive window before the scheduler's releasing
-  // rv_epoch store, read by boundary-pass bodies after its acquire — so a
-  // plain int is race-free.  Bodies at a boundary whose firing was declined
-  // by the progress gate must NOT fold in the (stale) delta buffers.
+  // rendezvous-epoch store, read by boundary-pass bodies after its acquire —
+  // so a plain int is race-free.  Bodies at a boundary whose firing was
+  // declined by the progress gate must NOT fold in the (stale) delta
+  // buffers.
   int applied_boundary = -1;
 
   const int base = pass_count_;
@@ -560,7 +325,7 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     const std::size_t ti = static_cast<std::size_t>(node);
     const TileSpec& t = plan_.tiles[ti];
     TileBuffers& b = tiles_[ti];
-    const int g = base + epoch;
+    const int g = base + epoch;  // global pass index since the last reload
     if (g > 0) gather_halos(ti, g);
     // At a correction boundary, fold the rendezvous delta in AFTER the
     // gather: the gathered strips are pre-correction (live neighbors are
@@ -571,16 +336,16 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     if (epoch > 0 && epoch == applied_boundary) apply_delta(ti);
     const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
                               plan_.frame_cols};
-    const int burst = (epoch == options.adaptive.max_passes - 1 &&
-                       options.adaptive.final_pass_iterations > 0)
-                          ? options.adaptive.final_pass_iterations
-                          : options_.merge_iterations;
+    const int burst = epoch == passes - 1 ? last_burst : merge;
     float residual = 0.f;
     {
+      // Timed by hand (not ProfScope) because the per-tile attribution needs
+      // the same measurement twice; no clock is read without a session.
       const bool prof = telemetry::profiler_active();
       const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
       kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    burst, scratch[lane], &residual);
+                                    burst, scratch[lane],
+                                    retire != nullptr ? &residual : nullptr);
       if (prof) {
         const double kernel_seconds =
             static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
@@ -589,13 +354,19 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
       }
     }
     publish_strips(ti, g);
-    ++report.adaptive.tile_passes[ti];
-    report.adaptive.tile_residuals[ti] = residual;
-    if (epoch == options.adaptive.max_passes - 1) ran_final[ti] = 1;
-    if (residual < options.adaptive.tolerance) {
-      if (++streak[ti] >= options.adaptive.patience) {
+    ++report.tile_passes[ti];
+    tile_iterations[ti] += static_cast<std::size_t>(burst);
+    if (retire == nullptr) return false;
+    report.tile_residuals[ti] = residual;
+    // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
+    // the same single-iteration semantics as solve_adaptive, so the same
+    // tolerance means the same thing regardless of merge depth.  Halo cells
+    // are included — conservative: a tile only retires once its neighborhood
+    // influence has also stilled.
+    if (residual < retire->tolerance) {
+      if (++streak[ti] >= retire->patience) {
         mark_frozen(ti, g);
-        return true;
+        return true;  // retire: EpochGraph publishes the terminal epoch
       }
     } else {
       streak[ti] = 0;
@@ -606,7 +377,7 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
   // The rendezvous body: runs in the scheduler's exclusive window (every
   // live tile parked exactly at the boundary, every other tile retired), so
   // it may touch any tile buffer and any mailbox slot without racing a
-  // reader — see EpochGraph::run_rendezvous.
+  // reader — see EpochGraph::run.
   const auto rendezvous = [&](int /*firing*/,
                               parallel::EpochGraph::RendezvousControl& ctl) {
     const Stopwatch clock;
@@ -628,7 +399,7 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     // contribute their (sub-tolerance) retirement-time residual.
     float churn = 0.f;
     for (std::size_t i = 0; i < n; ++i)
-      churn = std::max(churn, report.adaptive.tile_residuals[i]);
+      churn = std::max(churn, report.tile_residuals[i]);
     snapshot(snap);
     const CoarseCorrector::Result res =
         corrector.compute(snap.px, snap.py, churn);
@@ -647,6 +418,8 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     // Step 3: retired tiles don't run a boundary pass, so they take the
     // correction here — in place if it is below the un-retirement bar,
     // by resurrection otherwise.
+    const float unretire_tol =
+        policy.multilevel.unretire_factor * retire->tolerance;
     for (std::size_t i = 0; i < n; ++i) {
       const int f = frozen_pass_[i].load(std::memory_order_relaxed);
       if (f < 0) continue;
@@ -680,29 +453,31 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     report.rendezvous_seconds += clock.seconds();
   };
 
-  const parallel::EpochGraph::RunStats rs = graph_->run_rendezvous(
-      options.adaptive.max_passes, period, lanes, pool(), body, rendezvous);
+  const parallel::EpochGraph::Rendezvous rv{period, rendezvous};
+  const parallel::EpochGraph::RunStats rs =
+      graph_->run(passes, lanes, pool(), body, correct ? &rv : nullptr);
 
-  // Quiescent epilogue: frozen buffers may hold corrections absorbed after
-  // their last publish, so republish from the buffer into BOTH parity slots
-  // (later run()/run_adaptive() gathers assume the live parity) and clear
-  // the markers.
-  std::size_t converged = 0;
+  // Quiescent epilogue (every lane has joined): republish each retired
+  // tile's final strips from its buffer — which may hold corrections
+  // absorbed after its last publish — into BOTH parity slots and clear its
+  // marker, so later runs, whose gathers assume the live parity, read the
+  // frozen state no matter how many passes each tile actually executed.
+  // This is exactly the write that would race a concurrent gather during
+  // the run (see mark_frozen); here no reader exists.
   for (std::size_t i = 0; i < n; ++i) {
-    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-    if (f < 0) continue;
-    ++converged;
+    if (frozen_pass_[i].load(std::memory_order_relaxed) < 0) continue;
+    ++report.tiles_converged;
     publish_strips(i, 0);
     publish_strips(i, 1);
     frozen_pass_[i].store(-1, std::memory_order_relaxed);
   }
-  pass_count_ += options.adaptive.max_passes;
+  // The parity clock advances by the full cap.
+  pass_count_ += passes;
 
-  report.adaptive.tiles_converged = converged;
-  report.adaptive.total_tile_passes = rs.executed_passes;
-  report.adaptive.stolen_passes = rs.stolen_passes;
-
-  stats_.passes += options.adaptive.max_passes;
+  // Accounting, one unit for every policy: executed tile-passes.
+  report.total_tile_passes = rs.executed_passes;
+  report.stolen_passes = rs.stolen_passes;
+  stats_.passes += passes;
   stats_.stall_seconds += rs.stall_seconds;
   stats_.stall_spins += rs.stall_spins;
   std::uint64_t halo_floats = 0;
@@ -710,17 +485,11 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     std::size_t out_elems = 0;
     for (const int mi : out_edges_[i])
       out_elems += 2 * mail_[static_cast<std::size_t>(mi)].edge.elements();
-    halo_floats +=
-        static_cast<std::uint64_t>(out_elems) *
-        static_cast<std::uint64_t>(report.adaptive.tile_passes[i]);
-    std::size_t iters =
-        static_cast<std::size_t>(report.adaptive.tile_passes[i]) *
-        static_cast<std::size_t>(options_.merge_iterations);
-    if (options.adaptive.final_pass_iterations > 0 && ran_final[i])
-      iters -= static_cast<std::size_t>(options_.merge_iterations -
-                                        options.adaptive.final_pass_iterations);
-    report.adaptive.total_iterations += iters;
-    stats_.element_iterations += plan_.tiles[i].buffer_elements() * iters;
+    halo_floats += static_cast<std::uint64_t>(out_elems) *
+                   static_cast<std::uint64_t>(report.tile_passes[i]);
+    report.total_iterations += tile_iterations[i];
+    stats_.element_iterations +=
+        plan_.tiles[i].buffer_elements() * tile_iterations[i];
   }
   stats_.halo_bytes_exchanged += halo_floats * sizeof(float);
 
@@ -732,37 +501,53 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
       telemetry::registry().counter("tiles.stall_micros");
   static telemetry::Counter& c_spins =
       telemetry::registry().counter("tiles.stall_spins");
-  static telemetry::Counter& c_converged =
-      telemetry::registry().counter("tiles.converged");
   static telemetry::Counter& c_stolen =
       telemetry::registry().counter("tiles.stolen_passes");
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.coarse_solves");
-  static telemetry::Counter& c_gated =
-      telemetry::registry().counter("tiles.coarse_gated");
-  static telemetry::Counter& c_unretired =
-      telemetry::registry().counter("tiles.coarse_unretired");
-  static telemetry::Counter& c_rv_micros =
-      telemetry::registry().counter("tiles.coarse_rendezvous_micros");
-  static telemetry::Histogram& h_passes = telemetry::registry().histogram(
-      "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
   c_passes.add(rs.executed_passes);
   c_halo.add(halo_floats * sizeof(float));
   c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
   c_spins.add(rs.stall_spins);
-  c_converged.add(converged);
   c_stolen.add(rs.stolen_passes);
-  c_solves.add(report.coarse_solves);
-  c_gated.add(report.coarse_gated);
-  c_unretired.add(report.tiles_unretired);
-  c_rv_micros.add(static_cast<std::uint64_t>(report.rendezvous_seconds * 1e6));
-  for (const int p : report.adaptive.tile_passes) h_passes.observe(p);
+  // Per-pass traffic of this engine vs. the reload engine's two full frames
+  // in and out (4 floats/cell): the acceptance-criterion ratio.
+  const double frame_reload_bytes =
+      4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
+      static_cast<double>(plan_.frame_cols);
   telemetry::registry()
-      .gauge("tiles.coarse_correction_norm")
-      .set(static_cast<double>(report.last_correction_max));
-  telemetry::registry()
-      .gauge("tiles.adaptive_pass_savings")
-      .set(report.adaptive.pass_savings());
+      .gauge("tiles.halo_traffic_fraction")
+      .set(frame_reload_bytes > 0.0
+               ? static_cast<double>(stats_.halo_elements_per_pass) *
+                     sizeof(float) / frame_reload_bytes
+               : 0.0);
+  if (retire != nullptr) {
+    static telemetry::Counter& c_converged =
+        telemetry::registry().counter("tiles.converged");
+    static telemetry::Histogram& h_passes = telemetry::registry().histogram(
+        "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
+    c_converged.add(report.tiles_converged);
+    for (const int p : report.tile_passes) h_passes.observe(p);
+    telemetry::registry()
+        .gauge("tiles.adaptive_pass_savings")
+        .set(report.pass_savings());
+  }
+  if (correct) {
+    static telemetry::Counter& c_solves =
+        telemetry::registry().counter("tiles.coarse_solves");
+    static telemetry::Counter& c_gated =
+        telemetry::registry().counter("tiles.coarse_gated");
+    static telemetry::Counter& c_unretired =
+        telemetry::registry().counter("tiles.coarse_unretired");
+    static telemetry::Counter& c_rv_micros =
+        telemetry::registry().counter("tiles.coarse_rendezvous_micros");
+    c_solves.add(report.coarse_solves);
+    c_gated.add(report.coarse_gated);
+    c_unretired.add(report.tiles_unretired);
+    c_rv_micros.add(
+        static_cast<std::uint64_t>(report.rendezvous_seconds * 1e6));
+    telemetry::registry()
+        .gauge("tiles.coarse_correction_norm")
+        .set(static_cast<double>(report.last_correction_max));
+  }
   return report;
 }
 
@@ -785,20 +570,16 @@ void ResidentTiledEngine::reset_v(const Matrix<float>& v,
                                   const DualField* initial) {
   if (!v.same_shape(frame_v_))
     throw std::invalid_argument("ResidentTiledEngine::reset_v: shape mismatch");
+  validate_inputs(v, initial, "ResidentTiledEngine::reset_v");
   frame_v_ = v;
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     const TileSpec& t = plan_.tiles[i];
     kernels::copy_rect(v, t.buf_row0, t.buf_col0, tiles_[i].v, 0, 0,
                        t.buf_rows, t.buf_cols);
   }
-  if (initial != nullptr) {
-    if (!initial->px.same_shape(v) || !initial->py.same_shape(v))
-      throw std::invalid_argument(
-          "ResidentTiledEngine::reset_v: initial dual shape mismatch");
-    load_duals(initial);
-  }
   // initial == nullptr: duals stay resident (warm start); the mailbox
   // parity clock keeps running so the next run() gathers valid halos.
+  if (initial != nullptr) load_duals(initial);
 }
 
 ChambolleResult ResidentTiledEngine::result() const {
@@ -813,69 +594,14 @@ ChambolleResult ResidentTiledEngine::result() const {
 ChambolleResult solve_resident(const Matrix<float>& v,
                                const ChambolleParams& params,
                                const TiledSolverOptions& options,
+                               const RunPolicy& policy, RunReport* report,
                                ResidentTiledStats* stats,
                                const DualField* initial) {
   const telemetry::TraceSpan span("chambolle.solve_resident");
   ResidentTiledEngine engine(v, params, options, initial);
-  engine.run(params.iterations);
+  const RunReport rep = engine.run(params.iterations, policy);
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.resident_solves");
-  c_solves.add(1);
-  if (stats != nullptr) *stats = engine.stats();
-  return engine.result();
-}
-
-ChambolleResult solve_resident_adaptive(const Matrix<float>& v,
-                                        const ChambolleParams& params,
-                                        const TiledSolverOptions& options,
-                                        const ResidentAdaptiveOptions& adaptive,
-                                        ResidentAdaptiveReport* report,
-                                        ResidentTiledStats* stats,
-                                        const DualField* initial) {
-  const telemetry::TraceSpan span("chambolle.solve_resident_adaptive");
-  ResidentAdaptiveOptions opts = adaptive;
-  if (opts.max_passes <= 0) {
-    // Default the cap to the fixed budget: the adaptive solve never does
-    // more work than solve_resident() with the same params.  Mirror run()'s
-    // remainder schedule so a run where nothing retires is bit-exact with
-    // the fixed solve even when iterations % merge != 0.
-    const int merge = std::max(1, options.merge_iterations);
-    opts.max_passes = std::max(1, (params.iterations + merge - 1) / merge);
-    const int tail = params.iterations - (opts.max_passes - 1) * merge;
-    if (tail > 0 && tail < merge) opts.final_pass_iterations = tail;
-  }
-  ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentAdaptiveReport rep = engine.run_adaptive(opts);
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.adaptive_solves");
-  c_solves.add(1);
-  if (report != nullptr) *report = rep;
-  if (stats != nullptr) *stats = engine.stats();
-  return engine.result();
-}
-
-ChambolleResult solve_resident_multilevel(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentMultilevelOptions& multilevel,
-    ResidentMultilevelReport* report, ResidentTiledStats* stats,
-    const DualField* initial) {
-  const telemetry::TraceSpan span("chambolle.solve_resident_multilevel");
-  ResidentMultilevelOptions opts = multilevel;
-  if (opts.adaptive.max_passes <= 0) {
-    // Same fixed-budget sentinel as solve_resident_adaptive(): the cap is
-    // the schedule of solve_resident(params) including its remainder pass.
-    const int merge = std::max(1, options.merge_iterations);
-    opts.adaptive.max_passes =
-        std::max(1, (params.iterations + merge - 1) / merge);
-    const int tail =
-        params.iterations - (opts.adaptive.max_passes - 1) * merge;
-    if (tail > 0 && tail < merge) opts.adaptive.final_pass_iterations = tail;
-  }
-  ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentMultilevelReport rep = engine.run_multilevel(opts);
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.multilevel_solves");
   c_solves.add(1);
   if (report != nullptr) *report = rep;
   if (stats != nullptr) *stats = engine.stats();

@@ -8,7 +8,9 @@
 // full-fleet stall at each merge boundary.
 //
 // This engine restores residency.  Each tile's (v, px, py) buffers are
-// allocated once and PINNED to one worker lane for the whole solve; between
+// allocated once and kept for the whole solve; each tile has a preferred
+// lane, and another lane may steal the tile's next pass when its own tiles
+// are blocked (EpochGraph's work queue) — the buffers stay put.  Between
 // passes, neighboring tiles exchange only halo strips (width = the merge
 // depth) through per-edge mailboxes, and a tile starts pass n+1 as soon as
 // its <= 8 neighbors have published their pass-n halos (EpochGraph,
@@ -36,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "chambolle/params.hpp"
@@ -48,18 +51,16 @@
 
 namespace chambolle {
 
-/// Per-tile adaptive early stopping (ROADMAP item 2, after the local-error
-/// indicators of Alkämper/Hilb/Langer's adaptive primal-dual FEM): each
-/// tile tracks the kernel layer's fused single-iteration dual residual
-/// (max |dp| of the last iteration of each pass — no extra sweep, no state
-/// copies) and RETIRES once the residual stays under `tolerance` for
-/// `patience` consecutive passes.  A retired tile publishes a terminal
-/// epoch so neighbors never wait on it, redirects their gathers to its
-/// final (frozen) halo strips via a frozen-pass marker (mirrored into both
-/// mailbox parities once the run quiesces), and its lane's capacity is
-/// redistributed to still-active tiles by the EpochGraph's adaptive work
-/// queue.
-struct ResidentAdaptiveOptions {
+/// Per-tile retirement (after the local-error indicators of
+/// Alkämper/Hilb/Langer's adaptive primal-dual FEM): each tile tracks the
+/// kernel layer's fused single-iteration dual residual (max |dp| of the last
+/// iteration of each pass — no extra sweep, no state copies) and RETIRES
+/// once the residual stays under `tolerance` for `patience` consecutive
+/// passes.  A retired tile publishes a terminal epoch so neighbors never
+/// wait on it, redirects their gathers to its final (frozen) halo strips via
+/// a frozen-pass marker (mirrored into both mailbox parities once the run
+/// quiesces), and its lane's capacity goes to still-active tiles.
+struct RetirementRule {
   /// Per-iteration residual threshold: a pass counts toward retirement when
   /// the max |dp| of its last iteration falls below this.  Same semantics
   /// as AdaptiveOptions::tolerance (single-iteration, merge-depth
@@ -67,69 +68,53 @@ struct ResidentAdaptiveOptions {
   float tolerance = 1e-4f;
   /// Consecutive under-tolerance passes before a tile retires.
   int patience = 2;
-  /// Hard per-tile pass cap — the termination guarantee for tiles that
-  /// never reach tolerance.  One pass is `merge_iterations` iterations.
-  int max_passes = 125;
-  /// Iterations of the FINAL pass (pass max_passes - 1); 0 means a full
-  /// merge_iterations burst.  This is the remainder pass of run()'s
-  /// schedule: with it set to `iterations - (max_passes - 1) * merge`, a
-  /// run where no tile retires executes exactly the fixed schedule of
-  /// run(iterations), bit for bit, even when the iteration budget is not a
-  /// multiple of the merge depth.
-  int final_pass_iterations = 0;
 
   void validate() const;
 };
 
-/// Outcome of one run_adaptive(): which tiles converged, how many passes
-/// each actually ran, and what the fixed budget would have cost.
-struct ResidentAdaptiveReport {
-  int pass_cap = 0;                   ///< the max_passes this run enforced
+/// How one ResidentTiledEngine::run() treats its passes.  The default is
+/// the fixed schedule (every tile runs every pass; bit-exact to the
+/// sequential reference).  Fixed, adaptive and multilevel solves are one
+/// splitting scheme under different stopping and correction policies
+/// (Hilb & Langer's decomposition framework).
+struct RunPolicy {
+  /// Per-tile early stopping; absent = the fixed schedule.  Deliberately
+  /// NOT bit-exact against the fixed solve — retired tiles stop refining
+  /// while neighbors continue against their frozen halos; the
+  /// tolerance-mode oracle (src/testing) bounds the deviation.
+  std::optional<RetirementRule> retire;
+  /// Periodic coarse-grid correction (chambolle/multilevel.hpp): every
+  /// multilevel.period passes the fleet's parked state is snapshotted at an
+  /// exclusive EpochGraph rendezvous (no global barrier — the last lane out
+  /// of work runs it), a small V-cycle Chambolle solve computes a fine dual
+  /// correction, and every tile folds it into its resident buffers at its
+  /// next pass.  Retired tiles absorb corrections in place; a correction
+  /// exceeding multilevel.unretire_factor * retire->tolerance inside a
+  /// retired tile's profitable region un-retires it.  Results are schedule-
+  /// independent (same bits for any lane count).  Requires `retire`; off by
+  /// default (period 0), and a frame too small to coarsen runs without it.
+  MultilevelOptions multilevel{/*period=*/0};
+
+  void validate() const;
+};
+
+/// Outcome of one run(): how many passes each tile actually ran, which
+/// tiles converged, and what the coarse correction did.
+struct RunReport {
+  int pass_cap = 0;                   ///< ceil(iterations / merge depth)
   std::size_t tiles = 0;
   std::size_t tiles_converged = 0;    ///< retired before the cap
   std::size_t total_tile_passes = 0;  ///< sum over tiles of passes executed
-  /// Sum over tiles of Chambolle iterations actually executed —
-  /// cap-truncated final bursts (final_pass_iterations) included, so this
-  /// is NOT always total_tile_passes * merge_iterations.
+  /// Sum over tiles of Chambolle iterations actually executed — the
+  /// truncated final pass included, so this is NOT always
+  /// total_tile_passes * merge_iterations.
   std::size_t total_iterations = 0;
   std::uint64_t stolen_passes = 0;    ///< passes run off the preferred lane
   std::vector<int> tile_passes;       ///< per-tile passes executed
-  std::vector<float> tile_residuals;  ///< per-tile final residual
+  /// Per-tile residual of the last executed pass (retirement policy only;
+  /// zeros under the fixed schedule, which computes none).
+  std::vector<float> tile_residuals;
 
-  [[nodiscard]] bool all_converged() const {
-    return tiles_converged == tiles;
-  }
-  /// Passes a fixed budget of pass_cap per tile would have executed.
-  [[nodiscard]] std::size_t fixed_budget_passes() const {
-    return tiles * static_cast<std::size_t>(pass_cap);
-  }
-  /// Fraction of the fixed budget the adaptive run skipped (0 = none).
-  [[nodiscard]] double pass_savings() const {
-    const std::size_t fixed = fixed_budget_passes();
-    return fixed > 0 ? 1.0 - static_cast<double>(total_tile_passes) /
-                                 static_cast<double>(fixed)
-                     : 0.0;
-  }
-};
-
-/// Options of run_multilevel(): the adaptive per-tile stopping policy plus
-/// the coarse-grid correction schedule.  With the correction disabled
-/// (multilevel.period <= 0, or a frame too small to coarsen)
-/// run_multilevel() IS run_adaptive(options.adaptive), bit for bit.
-struct ResidentMultilevelOptions {
-  ResidentAdaptiveOptions adaptive;
-  MultilevelOptions multilevel;
-
-  void validate() const {
-    adaptive.validate();
-    multilevel.validate();
-  }
-};
-
-/// Outcome of one run_multilevel(): the adaptive accounting plus the
-/// coarse-correction accounting.
-struct ResidentMultilevelReport {
-  ResidentAdaptiveReport adaptive;
   int coarse_levels = 0;         ///< realized ladder depth (0 = correction off)
   std::uint64_t coarse_solves = 0;     ///< firings whose correction applied
   std::uint64_t coarse_gated = 0;      ///< firings declined by the progress
@@ -138,6 +123,21 @@ struct ResidentMultilevelReport {
   std::uint64_t tiles_unretired = 0;   ///< resurrections forced by corrections
   float last_correction_max = 0.f;     ///< max |delta p| of the final cycle
   double rendezvous_seconds = 0.0;     ///< wall time inside rendezvous bodies
+
+  [[nodiscard]] bool all_converged() const {
+    return tiles_converged == tiles;
+  }
+  /// Passes the fixed schedule (pass_cap per tile) would have executed.
+  [[nodiscard]] std::size_t fixed_budget_passes() const {
+    return tiles * static_cast<std::size_t>(pass_cap);
+  }
+  /// Fraction of the fixed budget the run skipped (0 = none).
+  [[nodiscard]] double pass_savings() const {
+    const std::size_t fixed = fixed_budget_passes();
+    return fixed > 0 ? 1.0 - static_cast<double>(total_tile_passes) /
+                                 static_cast<double>(fixed)
+                     : 0.0;
+  }
 };
 
 /// Work and traffic accounting of a resident solve (cumulative across
@@ -165,7 +165,8 @@ class ResidentTiledEngine {
  public:
   /// Tiles `v` with options.{tile_rows, tile_cols, merge_iterations} and
   /// loads the resident buffers; `initial`, when non-null, warm-starts the
-  /// duals (otherwise zeros).  Validates like solve_tiled.
+  /// duals (otherwise zeros).  Validates like solve_tiled, and rejects
+  /// non-finite v or initial duals (std::invalid_argument).
   ResidentTiledEngine(const Matrix<float>& v, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       const DualField* initial = nullptr);
@@ -174,35 +175,13 @@ class ResidentTiledEngine {
   ResidentTiledEngine(const ResidentTiledEngine&) = delete;
   ResidentTiledEngine& operator=(const ResidentTiledEngine&) = delete;
 
-  /// Advances the solve by `iterations` Chambolle iterations (split into
-  /// ceil(iterations / merge_iterations) halo-exchange passes).  Composable:
-  /// run(a); run(b) is bit-exact equal to run(a + b).
-  void run(int iterations);
-
-  /// Advances the solve adaptively: every tile runs passes of
-  /// `merge_iterations` iterations until its per-iteration residual stays
-  /// under options.tolerance for options.patience consecutive passes (it
-  /// then retires) or it hits options.max_passes (guaranteed termination).
-  /// Deliberately NOT bit-exact against the fixed-budget solve — retired
-  /// tiles stop refining while neighbors continue against their frozen
-  /// halos; the tolerance-mode oracle (src/testing) bounds the deviation.
-  /// The resident state stays coherent for snapshot()/result() and for
-  /// further run()/run_adaptive() calls.
-  ResidentAdaptiveReport run_adaptive(const ResidentAdaptiveOptions& options);
-
-  /// run_adaptive() composed with a periodic coarse-grid correction: every
-  /// multilevel.period passes the fleet's parked state is snapshotted at an
-  /// exclusive EpochGraph rendezvous (no global barrier — the last lane out
-  /// of work runs it), a small V-cycle Chambolle solve computes a fine dual
-  /// correction (chambolle/multilevel.hpp), and every tile folds the
-  /// correction into its pinned buffers at its next pass.  Retired tiles
-  /// absorb corrections in place; a correction exceeding
-  /// multilevel.unretire_factor * adaptive.tolerance inside a retired
-  /// tile's profitable region un-retires it.  Results are schedule-
-  /// independent (same bits for any lane count).  With the correction
-  /// disabled this IS run_adaptive(options.adaptive), bit for bit.
-  ResidentMultilevelReport run_multilevel(
-      const ResidentMultilevelOptions& options);
+  /// Advances the solve by `iterations` Chambolle iterations, split into
+  /// ceil(iterations / merge_iterations) halo-exchange passes (the last one
+  /// truncated to the remainder) under `policy`.  Under the fixed policy
+  /// runs are composable: run(a); run(b) is bit-exact equal to run(a + b).
+  /// Every policy leaves the resident state coherent for snapshot()/
+  /// result() and for further run() calls.
+  RunReport run(int iterations, const RunPolicy& policy = {});
 
   /// On-demand profitable write-back of the CURRENT dual state into `out`
   /// (resized as needed) — the telemetry-snapshot path; does not disturb the
@@ -212,7 +191,9 @@ class ResidentTiledEngine {
   /// Replaces the input field v (same shape) without touching the resident
   /// duals: the warm-start path of TV-L1 warps, where only v changes between
   /// inner solves.  When `initial` is non-null the duals are reloaded from
-  /// it instead (cold restart in place).
+  /// it instead (cold restart in place).  Validates every argument (shape,
+  /// finite values) before touching any state, so a rejected call leaves
+  /// the engine exactly as it was.
   void reset_v(const Matrix<float>& v, const DualField* initial = nullptr);
 
   /// Zeroes the resident duals in place (Algorithm 1's cold start) without
@@ -249,7 +230,7 @@ class ResidentTiledEngine {
   void publish_strips(std::size_t ti, int g);
   /// Publishes tile ti's frozen-pass marker (retirement at pass g), ordered
   /// before the terminal epoch store: later gathers read its final strips
-  /// at parity g.  The cross-parity mirror is deferred to run_adaptive()'s
+  /// at parity g.  The cross-parity mirror is deferred to run()'s
   /// quiescent epilogue — doing it here would race neighbors concurrently
   /// gathering the same pass (see the comments in resident_tiled.cpp).
   void mark_frozen(std::size_t ti, int g);
@@ -265,41 +246,23 @@ class ResidentTiledEngine {
   std::unique_ptr<parallel::EpochGraph> graph_;
   /// Per-tile retirement pass, -1 while live.  Set (release) by the retiring
   /// body before its terminal epoch publish, read (acquire) by gather_halos
-  /// to pick the mailbox parity, cleared in run_adaptive()'s epilogue after
-  /// the frozen strips are mirrored into both slots.
+  /// to pick the mailbox parity, cleared in run()'s epilogue after the
+  /// frozen strips are mirrored into both slots.
   std::vector<std::atomic<int>> frozen_pass_;
   int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
   ResidentTiledStats stats_;
 };
 
-/// One-shot resident solve of one component; the drop-in counterpart of
-/// solve_tiled() with the same options (execution is ignored: the engine is
-/// always pool-resident).  Bit-exact equal to the sequential reference.
+/// One-shot resident solve of one component: params.iterations under
+/// `policy`.  The drop-in counterpart of solve_tiled() with the same options
+/// (execution is ignored: the engine is always pool-resident).  Under the
+/// fixed policy it is bit-exact equal to the sequential reference; a
+/// retirement policy never exceeds that work and typically does much less
+/// on smooth/static content.
 [[nodiscard]] ChambolleResult solve_resident(
     const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options, ResidentTiledStats* stats = nullptr,
+    const TiledSolverOptions& options, const RunPolicy& policy = {},
+    RunReport* report = nullptr, ResidentTiledStats* stats = nullptr,
     const DualField* initial = nullptr);
-
-/// One-shot adaptive resident solve.  When adaptive.max_passes <= 0 the cap
-/// defaults to the fixed budget ceil(params.iterations / merge_iterations),
-/// so the adaptive solve never exceeds the work of solve_resident() with
-/// the same params and typically does much less on smooth/static content.
-[[nodiscard]] ChambolleResult solve_resident_adaptive(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentAdaptiveOptions& adaptive,
-    ResidentAdaptiveReport* report = nullptr,
-    ResidentTiledStats* stats = nullptr, const DualField* initial = nullptr);
-
-/// One-shot multilevel resident solve.  The adaptive.max_passes <= 0
-/// sentinel resolves exactly as in solve_resident_adaptive() (fixed budget
-/// with run()'s remainder schedule), so a correction-disabled call is
-/// memcmp-identical to solve_resident() when nothing retires.
-[[nodiscard]] ChambolleResult solve_resident_multilevel(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentMultilevelOptions& multilevel,
-    ResidentMultilevelReport* report = nullptr,
-    ResidentTiledStats* stats = nullptr, const DualField* initial = nullptr);
 
 }  // namespace chambolle

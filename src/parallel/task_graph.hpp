@@ -9,18 +9,21 @@
 //
 // EpochGraph schedules exactly that relaxation.  Nodes carry an epoch
 // counter (= passes completed); a node may run pass e as soon as all its
-// neighbors have completed pass e-1.  Nodes are PINNED to lanes for the
-// whole run — each lane sweeps its own contiguous block of nodes, running
-// every ready one — so a node's working set (the resident tile buffer) stays
-// with one worker from first pass to last.  Two neighbors can never drift
+// neighbors have completed pass e-1.  Every node has a PREFERRED lane — the
+// lanes split the nodes into contiguous blocks and each lane sweeps its own
+// block first, so a node's working set (the resident tile buffer) usually
+// stays with one worker — but another lane may steal the node's next pass
+// whenever its own block has nothing runnable.  A CAS claim serializes each
+// (node, epoch) to exactly one execution.  Two neighbors can never drift
 // more than one epoch apart, which is what makes the engine's
 // parity-double-buffered mailboxes safe (see resident_tiled.cpp).
 //
 // Synchronization is point-to-point: the body's writes are published by a
-// release store of the node's epoch, and a reader lane acquires a neighbor's
-// epoch before touching its mailboxes.  There is no barrier anywhere; lanes
-// that find none of their nodes ready spin briefly, then yield (stall time
-// is measured and reported, and surfaces as `tiles.stall_micros` telemetry).
+// release store of the node's epoch, and a lane acquires a node's own epoch
+// and its neighbors' epochs before running it.  There is no barrier
+// anywhere; lanes that find no runnable node spin briefly, then yield (stall
+// time is measured and reported, and surfaces as `tiles.stall_micros`
+// telemetry).
 //
 // An exception thrown by the body aborts the run: every lane observes the
 // abort flag in its wait loops, drains, and the first exception is rethrown
@@ -39,59 +42,30 @@ namespace chambolle::parallel {
 class EpochGraph {
  public:
   /// body(node, epoch, lane): run pass `epoch` (0-based) of `node` on `lane`.
-  using NodeFn = std::function<void(int, int, int)>;
-
-  /// Adaptive body: like NodeFn but the return value decides the node's
-  /// fate — `true` RETIRES the node after this pass (its epoch jumps to the
-  /// terminal value, so neighbors never wait on it again and no lane runs
-  /// it any more), `false` advances it normally.
-  using AdaptiveNodeFn = std::function<bool(int, int, int)>;
+  /// The return value decides the node's fate — `true` RETIRES the node
+  /// after this pass (its epoch jumps to the terminal value, so neighbors
+  /// never wait on it again and no lane runs it any more), `false` advances
+  /// it normally.  A fixed schedule is a body that always returns false.
+  using PassFn = std::function<bool(int, int, int)>;
 
   /// `neighbors[n]` lists the nodes whose previous epoch must be complete
   /// before `n` may advance (the relation should be symmetric; a one-sided
   /// edge still only delays, never corrupts).  Self-edges are ignored.
   explicit EpochGraph(std::vector<std::vector<int>> neighbors);
 
-  /// Aggregate outcome of one run()/run_adaptive()/run_rendezvous() —
-  /// telemetry accounting.
+  /// Aggregate outcome of one run() — telemetry accounting.
   struct RunStats {
     double stall_seconds = 0.0;      ///< summed over lanes
     std::uint64_t stall_spins = 0;   ///< ready-scan sweeps that found no work
-    std::uint64_t executed_passes = 0;  ///< body invocations (adaptive only)
+    std::uint64_t executed_passes = 0;  ///< body invocations
     std::uint64_t stolen_passes = 0;    ///< run off the preferred lane
     std::uint64_t retired_nodes = 0;    ///< bodies that returned true
     std::uint64_t rendezvous_fired = 0; ///< rendezvous bodies executed
   };
 
-  /// Runs `passes` epochs of every node on `lanes` lanes of `pool`, subject
-  /// to the neighbor constraint, with nodes pinned to lanes in contiguous
-  /// blocks.  Returns stall statistics.  Rethrows the first body exception.
-  RunStats run(int passes, int lanes, ThreadPool& pool, const NodeFn& body);
-
-  /// The adaptive variant: every node runs until its body returns true
-  /// (retirement) or it completes `max_passes` epochs — the hard cap that
-  /// guarantees termination even for a never-converging node.  Lane pinning
-  /// relaxes into an affinity-preferring work queue: a lane scans its own
-  /// contiguous block first and, when none of those nodes is runnable (all
-  /// retired, capped, or blocked), steals any ready node in the graph, so
-  /// capacity freed by early-retiring nodes is redistributed to the
-  /// stragglers instead of idling.  Per-(node, epoch) execution is
-  /// serialized by a CAS claim; the release/acquire epoch protocol is the
-  /// same as run()'s, so the neighbor skew bound (<= 1 pass) still holds
-  /// and the caller's parity-double-buffered mailboxes remain safe.  NOTE:
-  /// a retiring body must NOT write mailbox slots its live neighbors may
-  /// still be reading — a neighbor running the SAME pass only observed this
-  /// node's epoch >= that pass, which holds during the retiring execution
-  /// too, so no release/acquire pair orders such writes.  Publish a marker
-  /// whose consumers re-route their reads instead, and defer any slot
-  /// rewriting until the run has quiesced (see resident_tiled.cpp's
-  /// frozen-pass protocol).
-  RunStats run_adaptive(int max_passes, int lanes, ThreadPool& pool,
-                        const AdaptiveNodeFn& body);
-
-  /// Handle passed to a rendezvous body (run_rendezvous); lets it un-retire
-  /// nodes whose state the rendezvous work invalidated.  Only meaningful
-  /// inside the body — the handle must not escape it.
+  /// Handle passed to a rendezvous body; lets it un-retire nodes whose state
+  /// the rendezvous work invalidated.  Only meaningful inside the body — the
+  /// handle must not escape it.
   class RendezvousControl {
    public:
     /// Pass index of this firing's boundary B = (firing + 1) * period: every
@@ -102,8 +76,8 @@ class EpochGraph {
     /// resumes passes (up to the usual max_passes cap) once the body
     /// returns.  No-op on a node that is not retired.  During a firing no
     /// node can be at the cap without being retired (the pass gate orders
-    /// the last fine pass after the last firing), so this never extends a
-    /// capped node's budget.
+    /// the last pass after the last firing), so this never extends a capped
+    /// node's budget.
     void resurrect(int node);
 
    private:
@@ -121,16 +95,37 @@ class EpochGraph {
     bool resurrected_ = false;
   };
 
-  /// rendezvous(firing, ctl): run firing `firing` (0-based) of the
-  /// rendezvous node at pass boundary ctl.boundary().
-  using RendezvousFn = std::function<void(int, RendezvousControl&)>;
+  /// An optional periodic EXCLUSIVE node — the scheduling primitive of the
+  /// resident engine's coarse-grid correction (resident_tiled.cpp).
+  /// fire(firing, ctl) runs firing `firing` (0-based) at pass boundary
+  /// ctl.boundary() = (firing + 1) * period.  Passing none (or period <= 0,
+  /// or no callback) means no firing and no pass gate.
+  struct Rendezvous {
+    int period = 0;
+    std::function<void(int, RendezvousControl&)> fire;
+  };
 
-  /// run_adaptive() composed with a periodic EXCLUSIVE rendezvous node —
-  /// the scheduling primitive of the resident engine's coarse-grid
-  /// correction (resident_tiled.cpp).  Firing m of the rendezvous sits at
-  /// pass boundary B = (m + 1) * period; there are (max_passes - 1) /
-  /// period firings (a boundary at or past the cap would have no
-  /// subsequent pass to feed).  Semantics:
+  /// Runs every node until its body retires it or it completes `max_passes`
+  /// epochs — the hard cap that guarantees termination — on `lanes` lanes of
+  /// `pool`, subject to the neighbor constraint.  Scheduling is an
+  /// affinity-preferring work queue: a lane scans its own contiguous block
+  /// first and, when none of those nodes is runnable (retired, capped or
+  /// blocked), steals any ready node in the graph, so capacity freed by
+  /// early-retiring nodes or an uneven block split is redistributed instead
+  /// of idling.  Returns the run's statistics; rethrows the first body
+  /// exception.
+  ///
+  /// NOTE: a retiring body must NOT write mailbox slots its live neighbors
+  /// may still be reading — a neighbor running the SAME pass only observed
+  /// this node's epoch >= that pass, which holds during the retiring
+  /// execution too, so no release/acquire pair orders such writes.  Publish
+  /// a marker whose consumers re-route their reads instead, and defer any
+  /// slot rewriting until the run has quiesced (see resident_tiled.cpp's
+  /// frozen-pass protocol).
+  ///
+  /// With a rendezvous, firing m sits at pass boundary B = (m + 1) * period;
+  /// there are (max_passes - 1) / period firings (a boundary at or past the
+  /// cap would have no subsequent pass to feed).  Semantics:
   ///
   ///  * Firing m becomes ready when EVERY node's epoch is >= B — live nodes
   ///    parked at exactly B, the rest retired — and is claimed by one lane
@@ -138,36 +133,29 @@ class EpochGraph {
   ///    B is gated on the firing's completion, passes < B are already done.
   ///    The body therefore owns the whole graph state (an exclusive window)
   ///    WITHOUT a blocking barrier: lanes park only when truly out of work,
-  ///    exactly as in run_adaptive, and the last lane to finish a pre-
-  ///    boundary pass fires the rendezvous itself.
-  ///  * A node may run pass e only after firing e / period - 1 ... i.e.
-  ///    after rv_epoch >= e / period (acquire, pairing with the firing's
-  ///    release publish) — this is what makes the body's writes visible to
-  ///    every subsequent node pass, and what bounds a node's lead over the
-  ///    rendezvous to < period passes.
+  ///    and the last lane to finish a pre-boundary pass fires it itself.
+  ///  * A node may run pass e only after rendezvous epoch >= e / period
+  ///    (acquire, pairing with the firing's release publish) — this makes
+  ///    the body's writes visible to every subsequent node pass, and bounds
+  ///    a node's lead over the rendezvous to < period passes.
   ///  * The body may resurrect retired nodes (RendezvousControl); the run
   ///    ends when all firings are spent (or every node is finished and the
   ///    last firing chose not to resurrect anyone) AND every node is
   ///    finished.
-  ///
-  /// With period <= 0 or no realizable firing this degenerates to
-  /// run_adaptive() with the same body, bit for bit.
-  RunStats run_rendezvous(int max_passes, int period, int lanes,
-                          ThreadPool& pool, const AdaptiveNodeFn& body,
-                          const RendezvousFn& rendezvous);
+  RunStats run(int max_passes, int lanes, ThreadPool& pool,
+               const PassFn& body, const Rendezvous* rendezvous = nullptr);
 
   [[nodiscard]] int nodes() const { return static_cast<int>(adj_.size()); }
 
-  /// The lane a node is pinned to when running on `lanes` lanes: contiguous
+  /// The preferred lane of a node when running on `lanes` lanes: contiguous
   /// blocks, so grid-adjacent nodes usually share a lane and cross-lane
-  /// waits happen only at block seams.  In run_adaptive() this is the
-  /// node's PREFERRED lane; work stealing may run it elsewhere.
+  /// waits happen only at block seams.  Work stealing may run it elsewhere.
   [[nodiscard]] int owner(int node, int lanes) const;
 
  private:
   struct alignas(64) NodeState {
     std::atomic<int> epoch{0};  ///< passes completed; release on publish
-    std::atomic<int> claim{0};  ///< epochs claimed (adaptive work queue)
+    std::atomic<int> claim{0};  ///< epochs claimed (work-queue CAS)
   };
 
   std::vector<std::vector<int>> adj_;

@@ -13,7 +13,7 @@
 // slot has its OWN lane-partitioned ThreadPool (injected into every solve
 // through TiledSolverOptions::pool) and a cache of persistent
 // ResidentTiledEngines keyed by frame resolution, so a request for a
-// previously seen shape reuses pinned tile buffers via reset_v() instead
+// previously seen shape reuses resident tile buffers via reset_v() instead
 // of reallocating.  Sessions carry the per-stream state across requests:
 // the warm-start dual field for Chambolle-solve streams and the cached
 // previous-frame pyramid (tvl1::FlowSession) for optical-flow streams.

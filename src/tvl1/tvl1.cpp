@@ -44,8 +44,8 @@ parallel::ThreadPool& pool_for(const Tvl1Params& params) {
 // only): tile buffers survive across warps of a level, so the steady state
 // re-streams only v; it is rebuilt when the pyramid level changes shape.
 // Returns the inner-iteration count this solve contributed to the stats:
-// the fixed budget, or (adaptive resident) the tile-average iterations
-// actually executed.
+// the fixed budget, or (resident) the tile-average iterations actually
+// executed.
 long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
                       Matrix<float>& out, ChambolleResult& scratch,
                       std::unique_ptr<ResidentTiledEngine>& resident) {
@@ -68,40 +68,16 @@ long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
         resident->reset_v(v);
         if (!params.warm_start_duals) resident->reset_duals();
       }
-      long long iters = params.chambolle.iterations;
-      if (params.adaptive_stopping) {
-        ResidentAdaptiveOptions ao = params.adaptive;
-        if (ao.max_passes <= 0) {
-          // Same fixed-budget sentinel resolution as solve_resident_adaptive,
-          // remainder pass included.
-          const int merge = std::max(1, params.tiled.merge_iterations);
-          ao.max_passes =
-              std::max(1, (params.chambolle.iterations + merge - 1) / merge);
-          const int tail =
-              params.chambolle.iterations - (ao.max_passes - 1) * merge;
-          if (tail > 0 && tail < merge) ao.final_pass_iterations = tail;
-        }
-        ResidentAdaptiveReport rep;
-        if (params.multilevel.enabled()) {
-          ResidentMultilevelOptions mo;
-          mo.adaptive = ao;
-          mo.multilevel = params.multilevel;
-          rep = resident->run_multilevel(mo).adaptive;
-        } else {
-          rep = resident->run_adaptive(ao);
-        }
-        // Tile-average of the iterations actually executed;
-        // rep.total_iterations already discounts cap-truncated final bursts
-        // (final_pass_iterations), unlike passes * merge_iterations.
-        iters = rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
-                                    static_cast<long long>(rep.tiles)
-                              : 0;
-      } else {
-        resident->run(params.chambolle.iterations);
-      }
+      const RunReport rep =
+          resident->run(params.chambolle.iterations, params.resident_policy);
       ChambolleResult r = resident->result();
       std::swap(out, r.u);
-      return iters;
+      // Tile-average of the iterations actually executed (the fixed budget
+      // unless tiles retired); total_iterations already discounts the
+      // truncated final pass, unlike passes * merge_iterations.
+      return rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
+                                 static_cast<long long>(rep.tiles)
+                           : 0;
     }
     case InnerSolver::kFixed: {
       // The 13-bit Q5.8 v-format spans [-16,16); flow components at any
@@ -206,23 +182,10 @@ void Tvl1Params::validate() const {
   chambolle.validate();
   if (solver == InnerSolver::kTiled || solver == InnerSolver::kResident)
     tiled.validate();
-  if (adaptive_stopping) {
-    if (solver != InnerSolver::kResident)
-      throw std::invalid_argument(
-          "Tvl1Params: adaptive_stopping requires the resident solver");
-    // max_passes <= 0 is the "fixed budget" sentinel, resolved per solve;
-    // validate the rest.
-    ResidentAdaptiveOptions check = adaptive;
-    if (check.max_passes <= 0) check.max_passes = 1;
-    check.validate();
-  }
-  if (multilevel.enabled()) {
-    if (!adaptive_stopping)
-      throw std::invalid_argument(
-          "Tvl1Params: multilevel correction requires adaptive_stopping "
-          "(the resident solver's run_multilevel path)");
-    multilevel.validate();
-  }
+  if (resident_policy.retire && solver != InnerSolver::kResident)
+    throw std::invalid_argument(
+        "Tvl1Params: a retirement policy requires the resident solver");
+  resident_policy.validate();
 }
 
 FlowField compute_flow(const Image& i0, const Image& i1,

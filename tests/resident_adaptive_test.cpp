@@ -1,9 +1,10 @@
-// Per-tile adaptive early stopping in the resident engine: the quality
-// policy against the fixed-budget reference (the adaptive solve is
-// deliberately NOT bit-exact — see resident_tiled.hpp), retirement and
-// termination guarantees, and the fall-back equivalence when nothing
-// retires.  Suite names match the CI TSan filter (*Resident*), so the
-// retirement protocol's release/acquire ordering is sanitizer-checked.
+// Per-tile adaptive early stopping in the resident engine (the retirement
+// policy of ResidentTiledEngine::run): the quality policy against the
+// fixed-budget reference (the adaptive solve is deliberately NOT bit-exact —
+// see resident_tiled.hpp), retirement and termination guarantees, and the
+// fall-back equivalence when nothing retires.  Suite names match the CI
+// TSan filter (*Resident*), so the retirement protocol's release/acquire
+// ordering is sanitizer-checked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,12 @@ namespace {
 ChambolleParams params_with(int iterations) {
   ChambolleParams p;
   p.iterations = iterations;
+  return p;
+}
+
+RunPolicy retiring(float tolerance, int patience) {
+  RunPolicy p;
+  p.retire = RetirementRule{tolerance, patience};
   return p;
 }
 
@@ -82,17 +89,13 @@ TEST_P(ResidentAdaptiveQuality, StaysWithinQualityBoundOfFixedBudget) {
   opt.tile_cols = tc.tile_cols;
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = kTol;
-  adaptive.patience = 2;
-  adaptive.max_passes = 0;  // = the fixed budget
-  ResidentAdaptiveReport report;
+  RunReport report;
   const ChambolleResult res =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, retiring(kTol, 2), &report);
 
   expect_quality_bounded(v, params.theta, ref, res);
 
-  // Report consistency: the cap defaulted to the fixed budget, every tile
+  // Report consistency: the cap is the fixed budget, every tile
   // ran at least one and at most cap passes, and the totals add up.
   EXPECT_EQ(report.pass_cap, (tc.iterations + tc.merge - 1) / tc.merge);
   ASSERT_EQ(report.tile_passes.size(), report.tiles);
@@ -148,17 +151,15 @@ TEST(ResidentAdaptive, ConstantImageRetiresEveryTileWithinPatiencePasses) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-6f;
-  adaptive.patience = 2;
-  adaptive.max_passes = 50;
-  ResidentAdaptiveReport report;
+  const RunPolicy adaptive = retiring(1e-6f, 2);
+  RunReport report;  // 200 iterations = a cap of 50 passes
   const ChambolleResult res =
-      solve_resident_adaptive(v, params_with(200), opt, adaptive, &report);
+      solve_resident(v, params_with(200), opt, adaptive, &report);
 
   EXPECT_TRUE(report.all_converged());
   EXPECT_EQ(report.tiles_converged, report.tiles);
-  for (const int p : report.tile_passes) EXPECT_LE(p, adaptive.patience + 1);
+  for (const int p : report.tile_passes)
+    EXPECT_LE(p, adaptive.retire->patience + 1);
   for (const float r : report.tile_residuals) EXPECT_EQ(r, 0.f);
   // The minimizer of a constant field is the field itself.
   EXPECT_EQ(res.u, v);
@@ -176,13 +177,9 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
   opt.tile_cols = 28;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-30f;
-  adaptive.patience = 1;
-  adaptive.max_passes = 5;
-  ResidentAdaptiveReport report;
-  const ChambolleResult res = solve_resident_adaptive(
-      v, params_with(20), opt, adaptive, &report);
+  RunReport report;  // 20 iterations = a cap of 5 passes
+  const ChambolleResult res = solve_resident(
+      v, params_with(20), opt, retiring(1e-30f, 1), &report);
 
   EXPECT_EQ(report.tiles_converged, 0u);
   EXPECT_FALSE(report.all_converged());
@@ -198,22 +195,18 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
 }
 
 TEST(ResidentAdaptive, FixedBudgetSentinelIsBitExactOnNonMultipleBudget) {
-  // iterations % merge != 0: the sentinel-resolved cap must reproduce
-  // run()'s remainder schedule (here 4+4+4+4+1), not round the budget up to
-  // a whole number of merged passes.
+  // iterations % merge != 0: the retirement policy's cap must reproduce the
+  // fixed remainder schedule (here 4+4+4+4+1), not round the budget up to a
+  // whole number of merged passes.
   const Matrix<float> v = random_v(48, 56, 6006);
   TiledSolverOptions opt;
   opt.tile_rows = 20;
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-30f;  // nothing retires
-  adaptive.patience = 1;
-  adaptive.max_passes = 0;  // fixed-budget sentinel
-  ResidentAdaptiveReport report;
+  RunReport report;  // nothing retires
   const ChambolleResult res =
-      solve_resident_adaptive(v, params_with(17), opt, adaptive, &report);
+      solve_resident(v, params_with(17), opt, retiring(1e-30f, 1), &report);
   EXPECT_EQ(report.pass_cap, 5);  // ceil(17 / 4)
   // 17 iterations per tile, NOT pass_cap * merge = 20: total_iterations
   // discounts the truncated remainder burst (the tvl1 accounting input).
@@ -236,15 +229,11 @@ TEST(ResidentAdaptive, HalfStaticWorkloadSavesPasses) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = kTol;
-  adaptive.patience = 2;
-  adaptive.max_passes = 0;
-  ResidentAdaptiveReport report;
+  RunReport report;
   const ChambolleParams params = params_with(100);
   const ChambolleResult ref = solve(v, params);
   const ChambolleResult res =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, retiring(kTol, 2), &report);
 
   EXPECT_GT(report.tiles_converged, 0u);
   EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
@@ -253,9 +242,9 @@ TEST(ResidentAdaptive, HalfStaticWorkloadSavesPasses) {
 }
 
 TEST(ResidentAdaptive, StateStaysCoherentForFurtherRuns) {
-  // run_adaptive() leaves the resident state and mailbox parity coherent: a
-  // later fixed run() on the same engine must still work and refine the
-  // solution (frozen strips are valid at both parities).
+  // An adaptive run() leaves the resident state and mailbox parity
+  // coherent: a later fixed run() on the same engine must still work and
+  // refine the solution (frozen strips are valid at both parities).
   const Matrix<float> v = random_v(64, 64, 6003);
   TiledSolverOptions opt;
   opt.tile_rows = 24;
@@ -263,11 +252,7 @@ TEST(ResidentAdaptive, StateStaysCoherentForFurtherRuns) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   ResidentTiledEngine engine(v, params_with(40), opt);
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-3f;
-  adaptive.patience = 1;
-  adaptive.max_passes = 5;
-  (void)engine.run_adaptive(adaptive);
+  (void)engine.run(20, retiring(1e-3f, 1));  // a cap of 5 passes
   const double e_mid = rof_energy(engine.result().u, v, 0.25f);
   engine.run(20);  // must not throw, deadlock, or corrupt the state
   const double e_end = rof_energy(engine.result().u, v, 0.25f);
@@ -292,19 +277,16 @@ TEST(ResidentAdaptive, ResultIsIndependentOfThreadCount) {
   opt.tile_rows = 24;
   opt.tile_cols = 24;
   opt.merge_iterations = 2;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-3f;
-  adaptive.patience = 1;  // retire at the first quiet pass: maximal stagger
-  adaptive.max_passes = 0;
+  // Patience 1: retire at the first quiet pass — maximal stagger.
+  const RunPolicy adaptive = retiring(1e-3f, 1);
   const ChambolleParams params = params_with(60);
 
   opt.num_threads = 1;
-  const ChambolleResult one_lane =
-      solve_resident_adaptive(v, params, opt, adaptive);
+  const ChambolleResult one_lane = solve_resident(v, params, opt, adaptive);
   opt.num_threads = 4;
-  ResidentAdaptiveReport report;
+  RunReport report;
   const ChambolleResult four_lanes =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, adaptive, &report);
 
   EXPECT_GT(report.tiles_converged, 0u);  // the race window was exercised
   expect_memcmp_eq(four_lanes.u, one_lane.u, "u");
@@ -333,11 +315,8 @@ TEST(ResidentAdaptive, StaggeredRetirementStressStaysCoherent) {
     opt.merge_iterations = 2;
     opt.num_threads = 4;
     ResidentTiledEngine engine(v, params_with(80), opt);
-    ResidentAdaptiveOptions adaptive;
-    adaptive.tolerance = 1e-4f;
-    adaptive.patience = 1;
-    adaptive.max_passes = 40;
-    const ResidentAdaptiveReport report = engine.run_adaptive(adaptive);
+    // 80 iterations = a cap of 40 passes.
+    const RunReport report = engine.run(80, retiring(1e-4f, 1));
     EXPECT_GT(report.tiles_converged, 0u);
     EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
     const double e_mid = rof_energy(engine.result().u, v, 0.25f);
@@ -354,21 +333,17 @@ TEST(ResidentAdaptive, ReportsStolenPassesAccounting) {
   opt.tile_cols = 20;
   opt.merge_iterations = 2;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
-  adaptive.tolerance = 1e-30f;  // nothing retires: pure scheduling test
-  adaptive.patience = 1;
-  adaptive.max_passes = 6;
-  ResidentAdaptiveReport report;
+  RunReport report;  // nothing retires: pure scheduling test
   ResidentTiledStats stats;
-  (void)solve_resident_adaptive(v, params_with(12), opt, adaptive, &report,
-                                &stats);
+  (void)solve_resident(v, params_with(12), opt, retiring(1e-30f, 1), &report,
+                       &stats);
   EXPECT_LE(report.stolen_passes, report.total_tile_passes);
   EXPECT_EQ(stats.tiles, report.tiles);
   EXPECT_GT(stats.element_iterations, 0u);
 }
 
 TEST(ResidentAdaptive, ValidatesOptions) {
-  ResidentAdaptiveOptions o;
+  RetirementRule o;
   o.tolerance = 0.f;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
@@ -377,15 +352,16 @@ TEST(ResidentAdaptive, ValidatesOptions) {
   o = {};
   o.patience = 0;
   EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = {};
-  o.max_passes = 0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
 
+  // The pass cap is derived from the iteration budget, so the only budget
+  // an engine can reject is a negative one; an invalid rule is rejected by
+  // run() itself, before any pass.
   const Matrix<float> v = random_v(16, 16, 6005);
   ResidentTiledEngine engine(v, params_with(4), TiledSolverOptions{});
-  ResidentAdaptiveOptions bad;
-  bad.max_passes = 0;  // the <= 0 default is resolved by the FREE function
-  EXPECT_THROW((void)engine.run_adaptive(bad), std::invalid_argument);
+  EXPECT_THROW((void)engine.run(-1, retiring(1e-4f, 2)),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.run(4, retiring(1e-4f, 0)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// resident_multilevel_test.cpp — run_multilevel(): the coarse-grid
+// resident_multilevel_test.cpp — the multilevel run policy: the coarse-grid
 // correction composed with per-tile adaptive early stopping.  Pins the
-// disabled-path bit-exactness (multilevel off IS run_adaptive, and with
-// nothing retiring IS the fixed-budget engine), schedule independence of
-// applied corrections across lane counts, the retired-tile protocol
-// (corrections reach frozen tiles; large ones resurrect them), the
+// disabled-path bit-exactness (multilevel off IS the plain retirement
+// policy, and with nothing retiring IS the fixed-budget engine), schedule
+// independence of applied corrections across lane counts, the retired-tile
+// protocol (corrections reach frozen tiles; large ones resurrect them), the
 // rendezvous/progress-gate accounting, and the acceleration claim itself on
 // the stiff smooth regime the correction targets.  Suite names match the CI
 // TSan filter (*Resident*), so the rendezvous window's release/acquire
@@ -41,6 +41,20 @@ ChambolleParams stiff_params_with(int iterations) {
   return p;
 }
 
+// A retirement policy with the correction at `period` (0 = disabled).
+RunPolicy multilevel(float tolerance, int patience, int period) {
+  RunPolicy p;
+  p.retire = RetirementRule{tolerance, patience};
+  p.multilevel.period = period;
+  return p;
+}
+
+// The same policy with the correction switched off.
+RunPolicy without_correction(RunPolicy p) {
+  p.multilevel.period = 0;
+  return p;
+}
+
 Matrix<float> random_v(int rows, int cols, std::uint64_t seed) {
   Rng rng(seed);
   return random_image(rng, rows, cols, -3.f, 3.f);
@@ -69,8 +83,8 @@ float max_du(const Matrix<float>& a, const Matrix<float>& b) {
 }
 
 TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
-  // period <= 0 must route through run_adaptive verbatim — same bits, and a
-  // report that says the correction machinery never woke up.
+  // period <= 0 must run the plain retirement policy verbatim — same bits,
+  // and a report that says the correction machinery never woke up.
   const Matrix<float> v = random_v(64, 64, 7001);
   TiledSolverOptions opt;
   opt.tile_rows = 24;
@@ -78,16 +92,12 @@ TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
   opt.merge_iterations = 4;
   opt.num_threads = 3;
   const ChambolleParams params = params_with(24);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-4f;
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 0;  // disabled
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
-  const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+  const RunPolicy ml = multilevel(1e-4f, 2, 0);  // disabled
+  RunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
+  RunPolicy adaptive;
+  adaptive.retire = ml.retire;
+  const ChambolleResult ref = solve_resident(v, params, opt, adaptive);
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -97,7 +107,7 @@ TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
 
 TEST(ResidentMultilevel, DisabledFixedBudgetIsBitExactToFixedEngine) {
   // The acceptance criterion's memcmp chain: correction off + unreachable
-  // tolerance (nothing retires) + max_passes sentinel == solve_resident.
+  // tolerance (nothing retires) + the derived pass cap == the fixed policy.
   const Matrix<float> v = random_v(48, 56, 7002);
   TiledSolverOptions opt;
   opt.tile_rows = 20;
@@ -105,12 +115,8 @@ TEST(ResidentMultilevel, DisabledFixedBudgetIsBitExactToFixedEngine) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(17);  // non-multiple remainder
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 0;
-  const ChambolleResult res = solve_resident_multilevel(v, params, opt, ml);
+  const RunPolicy ml = multilevel(1e-30f, 1, 0);
+  const ChambolleResult res = solve_resident(v, params, opt, ml);
   const ChambolleResult fixed = solve_resident(v, params, opt);
   expect_result_memcmp_eq(res, fixed);
 }
@@ -125,16 +131,11 @@ TEST(ResidentMultilevel, FrameTooSmallToCoarsenRunsAsAdaptive) {
   opt.merge_iterations = 1;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(12);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-4f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 2;
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+  const RunPolicy ml = multilevel(1e-4f, 1, 2);
+  RunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
   const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, without_correction(ml));
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -156,16 +157,13 @@ TEST(ResidentMultilevel, CorrectionAcceleratesStiffSmoothContent) {
   opt.tile_cols = 32;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-6f;  // nothing retires: isolate the correction
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 4;
-  ResidentMultilevelReport report;
+  // Nothing retires: isolate the correction.
+  const RunPolicy ml = multilevel(1e-6f, 2, 4);
+  RunReport report;
   const ChambolleResult corrected =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+      solve_resident(v, params, opt, ml, &report);
   const ChambolleResult plain =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, without_correction(ml));
 
   EXPECT_GE(report.coarse_levels, 1);
   EXPECT_GE(report.coarse_solves, 1u);
@@ -191,18 +189,13 @@ TEST(ResidentMultilevel, GateDeclinesCorrectionsOnNoise) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(64);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;  // nothing retires
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 4;
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+  const RunPolicy ml = multilevel(1e-30f, 1, 4);  // nothing retires
+  RunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
   EXPECT_EQ(report.coarse_solves, 0u);
   EXPECT_GT(report.coarse_gated, 1u);  // baseline + declined firings
   const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, without_correction(ml));
   expect_result_memcmp_eq(res, ref);
 }
 
@@ -217,20 +210,15 @@ TEST(ResidentMultilevel, ResultIsIndependentOfThreadCount) {
   opt.tile_rows = 24;
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-5f;
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 3;
+  RunPolicy ml = multilevel(1e-5f, 2, 3);
   ml.multilevel.gate_factor = 0.f;
 
   opt.num_threads = 1;
-  ResidentMultilevelReport r1;
-  const ChambolleResult one = solve_resident_multilevel(v, params, opt, ml, &r1);
+  RunReport r1;
+  const ChambolleResult one = solve_resident(v, params, opt, ml, &r1);
   opt.num_threads = 4;
-  ResidentMultilevelReport r4;
-  const ChambolleResult four =
-      solve_resident_multilevel(v, params, opt, ml, &r4);
+  RunReport r4;
+  const ChambolleResult four = solve_resident(v, params, opt, ml, &r4);
 
   EXPECT_GE(r4.coarse_solves, 1u);  // the window was exercised
   EXPECT_EQ(r1.coarse_solves, r4.coarse_solves);
@@ -253,16 +241,11 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-3f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 4;
+  RunPolicy ml = multilevel(1e-3f, 1, 4);
   ml.multilevel.gate_factor = 0.f;
   ml.multilevel.unretire_factor = 0.f;
-  ResidentMultilevelReport eager;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &eager);
+  RunReport eager;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &eager);
   EXPECT_GE(eager.coarse_solves, 1u);
   EXPECT_GT(eager.tiles_unretired, 0u);
   EXPECT_GT(eager.last_correction_max, 0.f);
@@ -270,14 +253,14 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   // The same run with an unreachable resurrection threshold must keep every
   // retirement: corrections are folded into frozen tiles in place.
   ml.multilevel.unretire_factor = std::numeric_limits<float>::max();
-  ResidentMultilevelReport lazy;
-  (void)solve_resident_multilevel(v, params, opt, ml, &lazy);
+  RunReport lazy;
+  (void)solve_resident(v, params, opt, ml, &lazy);
   EXPECT_GE(lazy.coarse_solves, 1u);
   EXPECT_EQ(lazy.tiles_unretired, 0u);
-  EXPECT_GT(lazy.adaptive.tiles_converged, 0u);
+  EXPECT_GT(lazy.tiles_converged, 0u);
 
   const ChambolleResult plain =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, without_correction(ml));
   const double e_plain = rof_energy(plain.u, v, params.theta);
   EXPECT_LE(rof_energy(res.u, v, params.theta),
             e_plain + 1e-3 * (std::abs(e_plain) + 1.0));
@@ -294,30 +277,24 @@ TEST(ResidentMultilevel, ReportAccountingIsConsistent) {
   opt.tile_cols = 32;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
-  ml.multilevel.period = 3;
+  RunPolicy ml = multilevel(1e-30f, 1, 3);
   ml.multilevel.gate_factor = 0.f;
-  ResidentMultilevelReport report;
-  (void)solve_resident_multilevel(v, params, opt, ml, &report);
+  RunReport report;
+  (void)solve_resident(v, params, opt, ml, &report);
 
-  EXPECT_EQ(report.adaptive.pass_cap, 12);  // ceil(48 / 4)
-  const std::uint64_t firings =
-      static_cast<std::uint64_t>((report.adaptive.pass_cap - 1) /
-                                 ml.multilevel.period);
+  EXPECT_EQ(report.pass_cap, 12);  // ceil(48 / 4)
+  const std::uint64_t firings = static_cast<std::uint64_t>(
+      (report.pass_cap - 1) / ml.multilevel.period);
   EXPECT_EQ(report.coarse_solves + report.coarse_gated, firings);
   EXPECT_GE(report.coarse_gated, 1u);  // the baseline
   EXPECT_GE(report.coarse_levels, 1);
   EXPECT_GE(report.rendezvous_seconds, 0.0);
-  EXPECT_EQ(report.adaptive.tiles_converged, 0u);
-  for (const int p : report.adaptive.tile_passes)
-    EXPECT_EQ(p, report.adaptive.pass_cap);
+  EXPECT_EQ(report.tiles_converged, 0u);
+  for (const int p : report.tile_passes) EXPECT_EQ(p, report.pass_cap);
 }
 
 TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
-  // run_multilevel leaves the resident state and mailbox parity coherent:
+  // A multilevel run leaves the resident state and mailbox parity coherent:
   // a later fixed run() on the same engine must still refine the solution.
   const Image v = workloads::smooth_texture(64, 64, 7009);
   const ChambolleParams params = stiff_params_with(40);
@@ -327,13 +304,9 @@ TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   ResidentTiledEngine engine(v, params, opt);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-3f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 8;
-  ml.multilevel.period = 3;
+  RunPolicy ml = multilevel(1e-3f, 1, 3);
   ml.multilevel.gate_factor = 0.f;
-  const ResidentMultilevelReport report = engine.run_multilevel(ml);
+  const RunReport report = engine.run(32, ml);  // a cap of 8 passes
   EXPECT_GE(report.coarse_solves, 1u);
   const double e_mid = rof_energy(engine.result().u, v, params.theta);
   engine.run(40);  // must not throw, deadlock, or corrupt the state
@@ -371,9 +344,13 @@ TEST(ResidentMultilevel, ValidatesOptions) {
 
   const Matrix<float> v = random_v(16, 16, 7010);
   ResidentTiledEngine engine(v, params_with(4), TiledSolverOptions{});
-  ResidentMultilevelOptions bad;
+  RunPolicy bad = multilevel(1e-4f, 2, 8);
   bad.multilevel.prolong_scale = -1.f;
-  EXPECT_THROW((void)engine.run_multilevel(bad), std::invalid_argument);
+  EXPECT_THROW((void)engine.run(4, bad), std::invalid_argument);
+  // The correction rides the retirement policy; without one it is rejected.
+  RunPolicy no_rule;
+  no_rule.multilevel.period = 8;
+  EXPECT_THROW((void)engine.run(4, no_rule), std::invalid_argument);
 }
 
 }  // namespace

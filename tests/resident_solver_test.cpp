@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace chambolle {
 namespace {
@@ -56,7 +62,8 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
   ResidentTiledStats stats;
-  const ChambolleResult res = solve_resident(v, params, opt, &stats);
+  const ChambolleResult res =
+      solve_resident(v, params, opt, {}, nullptr, &stats);
 
   expect_memcmp_eq(res.u, ref.u, "u");
   expect_memcmp_eq(res.p.px, ref.p.px, "px");
@@ -160,7 +167,7 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   opt.num_threads = 2;
   ResidentTiledStats stats;
   const ChambolleResult warm =
-      solve_resident(v, params_with(5), opt, &stats, &stage1.p);
+      solve_resident(v, params_with(5), opt, {}, nullptr, &stats, &stage1.p);
   const ChambolleResult ref = solve(v, params_with(5), &stage1.p);
   expect_memcmp_eq(warm.p.px, ref.p.px, "px");
   expect_memcmp_eq(warm.p.py, ref.p.py, "py");
@@ -218,7 +225,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
   opt.merge_iterations = 4;
   opt.num_threads = 1;
   ResidentTiledStats stats;
-  (void)solve_resident(v, params_with(16), opt, &stats);
+  (void)solve_resident(v, params_with(16), opt, {}, nullptr, &stats);
 
   EXPECT_EQ(stats.passes, 4);
   EXPECT_GT(stats.tiles, 1u);
@@ -235,7 +242,8 @@ TEST(ResidentSolver, SingleTileExchangesNothing) {
   const Matrix<float> v = random_v(32, 32, 30);
   TiledSolverOptions opt;  // default 88x92 window covers the frame
   ResidentTiledStats stats;
-  const ChambolleResult res = solve_resident(v, params_with(8), opt, &stats);
+  const ChambolleResult res =
+      solve_resident(v, params_with(8), opt, {}, nullptr, &stats);
   EXPECT_EQ(stats.tiles, 1u);
   EXPECT_EQ(stats.halo_elements_per_pass, 0u);
   EXPECT_EQ(stats.halo_bytes_exchanged, 0u);
@@ -272,6 +280,141 @@ TEST(ResidentSolver, ThreadCountDoesNotChangeResult) {
   const ChambolleResult b = solve_resident(v, params_with(12), opt);
   expect_memcmp_eq(a.u, b.u, "u");
   expect_memcmp_eq(a.p.px, b.p.px, "px");
+}
+
+
+// Non-finite input is rejected at the engine boundary BEFORE any state
+// changes: the constructor throws, and a rejected reset_v() leaves the
+// resident duals, the input field and the pass clock exactly as they were —
+// so one bad frame cannot poison a stream's warm-start state.
+TEST(ResidentSolver, RejectsNonFiniteInputWithoutTouchingState) {
+  const Matrix<float> v = random_v(40, 36, 41);
+  TiledSolverOptions opt;
+  opt.tile_rows = 16;
+  opt.tile_cols = 14;
+  opt.merge_iterations = 3;
+  opt.num_threads = 2;
+  Matrix<float> nan_v = random_v(40, 36, 42);
+  nan_v(7, 9) = std::numeric_limits<float>::quiet_NaN();
+  DualField inf_duals(40, 36);
+  inf_duals.py(3, 30) = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(ResidentTiledEngine(nan_v, params_with(4), opt),
+               std::invalid_argument);
+  EXPECT_THROW(ResidentTiledEngine(v, params_with(4), opt, &inf_duals),
+               std::invalid_argument);
+
+  ResidentTiledEngine engine(v, params_with(10), opt);
+  ResidentTiledEngine control(v, params_with(10), opt);
+  engine.run(7);
+  control.run(7);
+  DualField before;
+  engine.snapshot(before);
+  const Matrix<float> u_before = engine.result().u;
+
+  const Matrix<float> good = random_v(40, 36, 43);
+  EXPECT_THROW(engine.reset_v(nan_v), std::invalid_argument);
+  EXPECT_THROW(engine.reset_v(nan_v, &before), std::invalid_argument);
+  EXPECT_THROW(engine.reset_v(good, &inf_duals), std::invalid_argument);
+  DualField wrong_shape(8, 8);
+  EXPECT_THROW(engine.reset_v(good, &wrong_shape), std::invalid_argument);
+
+  DualField after;
+  engine.snapshot(after);
+  expect_memcmp_eq(after.px, before.px, "px after rejected reset_v");
+  expect_memcmp_eq(after.py, before.py, "py after rejected reset_v");
+  expect_memcmp_eq(engine.result().u, u_before, "u after rejected reset_v");
+  // The pass/parity clock and mailboxes are untouched too: continuing the
+  // solve tracks an engine that never saw the rejected calls, bit for bit.
+  engine.run(5);
+  control.run(5);
+  const ChambolleResult got = engine.result();
+  const ChambolleResult want = control.result();
+  expect_memcmp_eq(got.u, want.u, "u continued");
+  expect_memcmp_eq(got.p.px, want.p.px, "px continued");
+  expect_memcmp_eq(got.p.py, want.p.py, "py continued");
+}
+
+// The fixed schedule runs on the same work queue as every other policy, so
+// a tile's pass may migrate to a lane other than its preferred one.  Tile
+// arithmetic does not depend on the lane, so the result must stay memcmp-
+// equal to the sequential reference on every repetition, however the passes
+// landed.  Covers the 3-tile grid on 2 lanes (one lane prefers two tiles,
+// the other steals) and a 5x5 grid at 1-4 lanes.  Migrations are reported,
+// not asserted: whether a steal happens is up to the OS scheduler, except on
+// one lane, where there is nobody to steal.
+TEST(ResidentSolver, MigrationKeepsFixedScheduleBitExact) {
+  struct Grid {
+    int rows, cols, tile, iterations;
+  };
+  constexpr int kRepeats = 20;
+  for (const Grid g : {Grid{172, 64, 64, 48}, Grid{128, 128, 32, 40}}) {
+    const Matrix<float> v = random_v(g.rows, g.cols, 44);
+    const ChambolleParams params = params_with(g.iterations);
+    const ChambolleResult ref = solve(v, params);
+    TiledSolverOptions opt;
+    opt.tile_rows = g.tile;
+    opt.tile_cols = g.tile;
+    opt.merge_iterations = 4;
+    const std::vector<int> lane_counts =
+        g.rows == 172 ? std::vector<int>{2} : std::vector<int>{1, 2, 3, 4};
+    for (const int lanes : lane_counts) {
+      opt.num_threads = lanes;
+      std::uint64_t stolen = 0;
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        RunReport report;
+        const ChambolleResult res = solve_resident(v, params, opt, {}, &report);
+        expect_memcmp_eq(res.u, ref.u, "u");
+        expect_memcmp_eq(res.p.px, ref.p.px, "px");
+        expect_memcmp_eq(res.p.py, ref.p.py, "py");
+        EXPECT_EQ(report.total_tile_passes, report.fixed_budget_passes());
+        stolen += report.stolen_passes;
+      }
+      if (parallel::default_pool().lanes_for(lanes) == 1) {
+        EXPECT_EQ(stolen, 0u);
+      }
+      RecordProperty("stolen_passes_" + std::to_string(g.rows) + "x" +
+                         std::to_string(g.cols) + "_lanes" +
+                         std::to_string(lanes),
+                     std::to_string(stolen));
+      std::printf("  %dx%d, %d lanes: %llu passes stolen over %d runs\n",
+                  g.rows, g.cols, lanes,
+                  static_cast<unsigned long long>(stolen), kRepeats);
+    }
+  }
+}
+
+// tiles.passes has one unit under every policy: executed tile-passes.
+TEST(ResidentSolver, TilePassesCounterCountsExecutedTilePasses) {
+#ifdef CHAMBOLLE_TELEMETRY_DISABLED
+  GTEST_SKIP() << "telemetry compiled out (CHAMBOLLE_ENABLE_TELEMETRY=OFF)";
+#endif
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::Counter& passes = telemetry::registry().counter("tiles.passes");
+  Matrix<float> v = random_v(96, 96, 45);
+  for (int r = 0; r < 96; ++r)
+    for (int c = 0; c < 48; ++c) v(r, c) = 0.25f;  // half retires early
+  TiledSolverOptions opt;
+  opt.tile_rows = 24;
+  opt.tile_cols = 24;
+  opt.merge_iterations = 4;
+  opt.num_threads = 3;
+  ResidentTiledEngine engine(v, params_with(40), opt);
+
+  const std::uint64_t p0 = passes.value();
+  const RunReport fixed = engine.run(38);  // 10 passes, the last truncated
+  EXPECT_EQ(passes.value() - p0, engine.stats().tiles * 10);
+  EXPECT_EQ(fixed.total_tile_passes, engine.stats().tiles * 10);
+
+  engine.reset_duals();
+  RunPolicy adaptive;
+  adaptive.retire = RetirementRule{1e-3f, 1};
+  const std::uint64_t p1 = passes.value();
+  const RunReport report = engine.run(40, adaptive);
+  EXPECT_GT(report.tiles_converged, 0u);
+  EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
+  EXPECT_EQ(passes.value() - p1, report.total_tile_passes);
+  telemetry::set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -119,6 +121,42 @@ TEST(ServingSession, ResolutionSwitchRestartsColdAndStillMatches) {
     ASSERT_EQ(r.status, ReplyStatus::kOk);
     expect_memcmp_eq(r.u, want[f], "resolution-switch frame");
   }
+}
+
+// A non-finite frame must not come back kOk, and must not poison the warm
+// duals the stream carries into its later good frames: the engine rejects
+// it before touching any state, its future throws, and the stream continues
+// as if it had never been submitted — both on a cached engine (reset_v) and
+// at a resolution with no engine yet (construction).
+TEST(ServingSession, NonFiniteFrameThrowsAndLeavesTheStreamUnpoisoned) {
+  FlowServiceOptions opts;
+  opts.params = quick_params();
+  opts.slots = 1;
+  opts.lanes_per_slot = 2;
+  FlowService service(opts);
+  auto session = service.open_session();
+
+  std::vector<Matrix<float>> frames;
+  for (int f = 0; f < 4; ++f) frames.push_back(random_v(30, 26, 9250 + f));
+  frames[1](11, 4) = std::numeric_limits<float>::quiet_NaN();
+  Matrix<float> nan_other_shape = random_v(18, 22, 9260);
+  nan_other_shape(0, 0) = std::numeric_limits<float>::infinity();
+
+  Reply r0 = session->submit(frames[0]).get();
+  EXPECT_THROW((void)session->submit(frames[1]).get(), std::invalid_argument);
+  Reply r2 = session->submit(frames[2]).get();
+  EXPECT_THROW((void)session->submit(nan_other_shape).get(),
+               std::invalid_argument);
+  Reply r3 = session->submit(frames[3]).get();
+  ASSERT_EQ(r0.status, ReplyStatus::kOk);
+  ASSERT_EQ(r2.status, ReplyStatus::kOk);
+  ASSERT_EQ(r3.status, ReplyStatus::kOk);
+
+  const std::vector<Matrix<float>> want =
+      serial_chain({frames[0], frames[2], frames[3]}, opts.params);
+  expect_memcmp_eq(r0.u, want[0], "frame before the NaN frame");
+  expect_memcmp_eq(r2.u, want[1], "first good frame after the NaN frame");
+  expect_memcmp_eq(r3.u, want[2], "second good frame after the NaN frame");
 }
 
 TEST(ServingFlow, FlowStreamMatchesComputeFlowPairs) {

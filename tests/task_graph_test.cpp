@@ -27,6 +27,7 @@ TEST(EpochGraph, RunsEveryNodeEveryPassExactlyOnce) {
   graph.run(passes, 4, default_pool(), [&](int node, int epoch, int) {
     EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
     count[static_cast<std::size_t>(node)].fetch_add(1);
+    return false;
   });
   for (int i = 0; i < n; ++i)
     EXPECT_EQ(count[static_cast<std::size_t>(i)].load(), passes);
@@ -48,6 +49,7 @@ TEST(EpochGraph, NeighborEpochsNeverDriftBeyondOne) {
       if (me < e - 1 || me > e + 1) violations.fetch_add(1);
     }
     epoch[static_cast<std::size_t>(node)].store(e + 1);
+    return false;
   });
   EXPECT_EQ(violations.load(), 0);
 }
@@ -56,29 +58,11 @@ TEST(EpochGraph, IndependentNodesNeedNoOrdering) {
   // No edges: every node free-runs its passes; still exactly-once per epoch.
   EpochGraph graph(std::vector<std::vector<int>>(8));
   std::atomic<int> total{0};
-  graph.run(5, 3, default_pool(),
-            [&](int, int, int) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 8 * 5);
-}
-
-TEST(EpochGraph, PinningIsStablePerNode) {
-  // A node must see the same lane for all its passes (tile residency).
-  const int n = 10, passes = 6;
-  EpochGraph graph(chain(n));
-  std::vector<std::atomic<int>> lane_of(static_cast<std::size_t>(n));
-  for (auto& l : lane_of) l.store(-1);
-  std::atomic<int> migrations{0};
-  graph.run(passes, 3, default_pool(), [&](int node, int, int lane) {
-    int expected = -1;
-    if (!lane_of[static_cast<std::size_t>(node)].compare_exchange_strong(
-            expected, lane) &&
-        expected != lane)
-      migrations.fetch_add(1);
+  graph.run(5, 3, default_pool(), [&](int, int, int) {
+    total.fetch_add(1);
+    return false;
   });
-  EXPECT_EQ(migrations.load(), 0);
-  for (int i = 0; i < n; ++i)
-    EXPECT_EQ(lane_of[static_cast<std::size_t>(i)].load(),
-              graph.owner(i, 3));
+  EXPECT_EQ(total.load(), 8 * 5);
 }
 
 TEST(EpochGraph, OwnerBlocksAreContiguousAndCoverAllNodes) {
@@ -101,6 +85,7 @@ TEST(EpochGraph, MoreLanesThanNodesDegradesGracefully) {
   graph.run(4, 16, default_pool(), [&](int, int, int lane) {
     EXPECT_LT(lane, n);  // team clamped to the node count
     total.fetch_add(1);
+    return false;
   });
   EXPECT_EQ(total.load(), n * 4);
 }
@@ -108,9 +93,15 @@ TEST(EpochGraph, MoreLanesThanNodesDegradesGracefully) {
 TEST(EpochGraph, ZeroPassesAndEmptyGraphAreNoOps) {
   EpochGraph empty(std::vector<std::vector<int>>{});
   EXPECT_EQ(empty.nodes(), 0);
-  empty.run(5, 2, default_pool(), [&](int, int, int) { FAIL(); });
+  empty.run(5, 2, default_pool(), [&](int, int, int) {
+    ADD_FAILURE();
+    return false;
+  });
   EpochGraph graph(chain(4));
-  graph.run(0, 2, default_pool(), [&](int, int, int) { FAIL(); });
+  graph.run(0, 2, default_pool(), [&](int, int, int) {
+    ADD_FAILURE();
+    return false;
+  });
 }
 
 TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
@@ -121,11 +112,15 @@ TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
                 [&](int node, int epoch, int) {
                   if (node == 3 && epoch == 2)
                     throw std::runtime_error("boom");
+                  return false;
                 }),
       std::runtime_error);
   // The graph (and the pool) must remain usable afterwards.
   std::atomic<int> total{0};
-  graph.run(2, 2, default_pool(), [&](int, int, int) { total.fetch_add(1); });
+  graph.run(2, 2, default_pool(), [&](int, int, int) {
+    total.fetch_add(1);
+    return false;
+  });
   EXPECT_EQ(total.load(), n * 2);
 }
 
@@ -134,7 +129,7 @@ TEST(EpochGraph, RejectsOutOfRangeNeighbors) {
   adj[0].push_back(5);
   EXPECT_THROW(EpochGraph{adj}, std::invalid_argument);
   EXPECT_THROW(EpochGraph(chain(3)).run(-1, 2, default_pool(),
-                                        [](int, int, int) {}),
+                                        [](int, int, int) { return false; }),
                std::invalid_argument);
 }
 
@@ -142,19 +137,20 @@ TEST(EpochGraph, ReportsStallStatsOnReuse) {
   // Stall counters are best-effort (may be zero on a fast machine), but the
   // structure must accumulate sanely across runs.
   EpochGraph graph(chain(6));
-  const auto s1 = graph.run(3, 2, default_pool(), [](int, int, int) {});
+  const auto never_retire = [](int, int, int) { return false; };
+  const auto s1 = graph.run(3, 2, default_pool(), never_retire);
   EXPECT_GE(s1.stall_seconds, 0.0);
-  const auto s2 = graph.run(3, 2, default_pool(), [](int, int, int) {});
+  const auto s2 = graph.run(3, 2, default_pool(), never_retire);
   EXPECT_GE(s2.stall_spins, 0u);
 }
 
 TEST(EpochGraph, AdaptiveRunsToCapWhenNoNodeRetires) {
-  // A body that never retires makes run_adaptive equivalent to run(): every
-  // node executes exactly max_passes epochs, each exactly once, in order.
+  // A body that never retires is the fixed schedule: every node executes
+  // exactly max_passes epochs, each exactly once, in order.
   const int n = 12, cap = 7;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
+  const auto rs = graph.run(
       cap, 4, default_pool(), [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
@@ -173,7 +169,7 @@ TEST(EpochGraph, AdaptiveRetirementStopsANodeAndUnblocksNeighbors) {
   const int n = 8, cap = 20;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
+  const auto rs = graph.run(
       cap, 3, default_pool(), [&](int node, int epoch, int) {
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return node == 0 && epoch == 1;
@@ -193,7 +189,7 @@ TEST(EpochGraph, AdaptiveEveryPassRunsExactlyOnceUnderStealing) {
   const int n = 32, cap = 50;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
+  const auto rs = graph.run(
       cap, 4, default_pool(), [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
@@ -214,7 +210,7 @@ TEST(EpochGraph, AdaptiveRedistributesFreedCapacity) {
   const int n = 16, cap = 200;
   const std::vector<std::vector<int>> no_edges(n);
   EpochGraph graph(no_edges);
-  const auto rs = graph.run_adaptive(
+  const auto rs = graph.run(
       cap, 4, default_pool(),
       [&](int node, int, int) { return node != n - 1; });
   EXPECT_EQ(rs.retired_nodes, static_cast<std::uint64_t>(n - 1));
@@ -233,7 +229,7 @@ TEST(EpochGraph, AdaptiveNeighborSkewStillBoundedByOne) {
   EpochGraph graph(adj);
   std::vector<std::atomic<int>> epoch(static_cast<std::size_t>(n));
   std::atomic<int> violations{0};
-  graph.run_adaptive(cap, 4, default_pool(), [&](int node, int e, int) {
+  graph.run(cap, 4, default_pool(), [&](int node, int e, int) {
     for (const int m : adj[static_cast<std::size_t>(node)]) {
       const int me = epoch[static_cast<std::size_t>(m)].load();
       // A retired neighbor legitimately reads as "done" (>= e); only
@@ -252,16 +248,16 @@ TEST(EpochGraph, AdaptiveNeighborSkewStillBoundedByOne) {
 TEST(EpochGraph, AdaptiveBodyExceptionAbortsAndPropagates) {
   const int n = 8;
   EpochGraph graph(chain(n));
-  EXPECT_THROW(graph.run_adaptive(50, 4, default_pool(),
-                                  [&](int node, int epoch, int) {
-                                    if (node == 3 && epoch == 2)
-                                      throw std::runtime_error("boom");
-                                    return false;
-                                  }),
+  EXPECT_THROW(graph.run(50, 4, default_pool(),
+                         [&](int node, int epoch, int) {
+                           if (node == 3 && epoch == 2)
+                             throw std::runtime_error("boom");
+                           return false;
+                         }),
                std::runtime_error);
-  // Graph and pool stay usable, for both schedulers.
+  // Graph and pool stay usable after the abort.
   std::atomic<int> total{0};
-  graph.run_adaptive(2, 2, default_pool(), [&](int, int, int) {
+  graph.run(2, 2, default_pool(), [&](int, int, int) {
     total.fetch_add(1);
     return false;
   });
@@ -275,17 +271,19 @@ TEST(EpochGraph, RendezvousFiresAtEveryBoundary) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::vector<int> boundaries;
-  const auto stats = graph.run_rendezvous(
-      passes, period, 4, default_pool(),
+  const EpochGraph::Rendezvous rv{
+      period, [&](int firing, EpochGraph::RendezvousControl& ctl) {
+        EXPECT_EQ(ctl.boundary(), (firing + 1) * period);
+        boundaries.push_back(ctl.boundary());
+      }};
+  const auto stats = graph.run(
+      passes, 4, default_pool(),
       [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return false;
       },
-      [&](int firing, EpochGraph::RendezvousControl& ctl) {
-        EXPECT_EQ(ctl.boundary(), (firing + 1) * period);
-        boundaries.push_back(ctl.boundary());
-      });
+      &rv);
   EXPECT_EQ(stats.rendezvous_fired, 4u);
   EXPECT_EQ(boundaries, (std::vector<int>{4, 8, 12, 16}));
   for (int i = 0; i < n; ++i)
@@ -300,17 +298,19 @@ TEST(EpochGraph, RendezvousWindowIsExclusive) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> violations{0};
-  graph.run_rendezvous(
-      passes, period, 4, default_pool(),
+  const EpochGraph::Rendezvous rv{
+      period, [&](int, EpochGraph::RendezvousControl& ctl) {
+        for (int i = 0; i < n; ++i)
+          if (count[static_cast<std::size_t>(i)].load() != ctl.boundary())
+            violations.fetch_add(1);
+      }};
+  graph.run(
+      passes, 4, default_pool(),
       [&](int node, int, int) {
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return false;
       },
-      [&](int, EpochGraph::RendezvousControl& ctl) {
-        for (int i = 0; i < n; ++i)
-          if (count[static_cast<std::size_t>(i)].load() != ctl.boundary())
-            violations.fetch_add(1);
-      });
+      &rv);
   EXPECT_EQ(violations.load(), 0);
 }
 
@@ -321,18 +321,20 @@ TEST(EpochGraph, RendezvousRetiredNodesStayParked) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> bad{0};
-  graph.run_rendezvous(
-      passes, period, 3, default_pool(),
-      [&](int node, int epoch, int) {
-        count[static_cast<std::size_t>(node)].fetch_add(1);
-        return node == 0 && epoch == 2;  // retired with 3 passes done
-      },
-      [&](int, EpochGraph::RendezvousControl& ctl) {
+  const EpochGraph::Rendezvous rv{
+      period, [&](int, EpochGraph::RendezvousControl& ctl) {
         if (count[0].load() != 3) bad.fetch_add(1);
         for (int i = 1; i < n; ++i)
           if (count[static_cast<std::size_t>(i)].load() != ctl.boundary())
             bad.fetch_add(1);
-      });
+      }};
+  graph.run(
+      passes, 3, default_pool(),
+      [&](int node, int epoch, int) {
+        count[static_cast<std::size_t>(node)].fetch_add(1);
+        return node == 0 && epoch == 2;  // retired with 3 passes done
+      },
+      &rv);
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(count[0].load(), 3);
   for (int i = 1; i < n; ++i)
@@ -346,20 +348,22 @@ TEST(EpochGraph, RendezvousResurrectionResumesANode) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> resurrections{0};
-  graph.run_rendezvous(
-      passes, period, 3, default_pool(),
-      [&](int node, int, int) {
-        const int c =
-            count[static_cast<std::size_t>(node)].fetch_add(1) + 1;
-        return node == 0 && c == 2 && resurrections.load() == 0;
-      },
-      [&](int firing, EpochGraph::RendezvousControl& ctl) {
+  const EpochGraph::Rendezvous rv{
+      period, [&](int firing, EpochGraph::RendezvousControl& ctl) {
         if (firing == 0) {
           EXPECT_EQ(count[0].load(), 2);
           ctl.resurrect(0);
           resurrections.fetch_add(1);
         }
-      });
+      }};
+  graph.run(
+      passes, 3, default_pool(),
+      [&](int node, int, int) {
+        const int c =
+            count[static_cast<std::size_t>(node)].fetch_add(1) + 1;
+        return node == 0 && c == 2 && resurrections.load() == 0;
+      },
+      &rv);
   // Node 0: passes 0..1 before retiring, then passes 4..10 after the
   // boundary-4 resurrection = 9 total; everyone else runs all 11.
   EXPECT_EQ(resurrections.load(), 1);
@@ -370,18 +374,21 @@ TEST(EpochGraph, RendezvousResurrectionResumesANode) {
 
 TEST(EpochGraph, RendezvousDegeneratesToAdaptive) {
   // period <= 0 and period >= max_passes realize no firing: the run must be
-  // exactly run_adaptive — all passes execute, the rendezvous never fires.
+  // exactly the run without a rendezvous — all passes execute, the
+  // rendezvous never fires.
   const int n = 6;
   EpochGraph graph(chain(n));
   for (const int period : {0, -3, 7, 100}) {
     std::atomic<int> total{0};
-    const auto stats = graph.run_rendezvous(
-        7, period, 3, default_pool(),
+    const EpochGraph::Rendezvous rv{
+        period, [&](int, EpochGraph::RendezvousControl&) { ADD_FAILURE(); }};
+    const auto stats = graph.run(
+        7, 3, default_pool(),
         [&](int, int, int) {
           total.fetch_add(1);
           return false;
         },
-        [&](int, EpochGraph::RendezvousControl&) { ADD_FAILURE(); });
+        &rv);
     EXPECT_EQ(total.load(), n * 7) << "period=" << period;
     EXPECT_EQ(stats.rendezvous_fired, 0u) << "period=" << period;
   }
@@ -393,26 +400,27 @@ TEST(EpochGraph, RendezvousAllRetiredEndsRunWithoutTrailingFirings) {
   const int n = 4;
   EpochGraph graph(chain(n));
   std::atomic<int> firings{0};
-  const auto stats = graph.run_rendezvous(
-      41, 4, 3, default_pool(), [&](int, int, int) { return true; },
-      [&](int, EpochGraph::RendezvousControl&) { firings.fetch_add(1); });
+  const EpochGraph::Rendezvous rv{
+      4, [&](int, EpochGraph::RendezvousControl&) { firings.fetch_add(1); }};
+  const auto stats = graph.run(
+      41, 3, default_pool(), [&](int, int, int) { return true; }, &rv);
   EXPECT_LE(firings.load(), 1);
   EXPECT_EQ(stats.retired_nodes, static_cast<std::uint64_t>(n));
 }
 
 TEST(EpochGraph, AdaptiveZeroPassesAndEmptyGraphAreNoOps) {
   EpochGraph empty(std::vector<std::vector<int>>{});
-  empty.run_adaptive(5, 2, default_pool(), [&](int, int, int) -> bool {
+  empty.run(5, 2, default_pool(), [&](int, int, int) -> bool {
     ADD_FAILURE();
     return false;
   });
   EpochGraph graph(chain(4));
-  graph.run_adaptive(0, 2, default_pool(), [&](int, int, int) -> bool {
+  graph.run(0, 2, default_pool(), [&](int, int, int) -> bool {
     ADD_FAILURE();
     return false;
   });
-  EXPECT_THROW(graph.run_adaptive(-1, 2, default_pool(),
-                                  [](int, int, int) { return false; }),
+  EXPECT_THROW(graph.run(-1, 2, default_pool(),
+                         [](int, int, int) { return false; }),
                std::invalid_argument);
 }
 

@@ -137,17 +137,15 @@ TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
   p.tiled.tile_rows = 24;
   p.tiled.tile_cols = 24;
   p.tiled.merge_iterations = 4;
-  p.adaptive_stopping = true;
-  p.adaptive.tolerance = 1e-30f;  // nothing retires: deterministic budget
-  p.adaptive.patience = 1;
-  p.adaptive.max_passes = 0;  // fixed-budget sentinel
+  // Nothing retires: deterministic budget.
+  p.resident_policy.retire = RetirementRule{1e-30f, 1};
   Tvl1Stats stats;
   const FlowField a = compute_flow(wl.frame0, wl.frame1, p, &stats);
   EXPECT_EQ(stats.chambolle_inner_iterations,
             2LL * 25 * p.warps * stats.levels_processed);
   // With nothing retiring the adaptive schedule IS the fixed schedule.
   Tvl1Params fixed = p;
-  fixed.adaptive_stopping = false;
+  fixed.resident_policy.retire.reset();
   const FlowField b = compute_flow(wl.frame0, wl.frame1, fixed);
   EXPECT_EQ(a.u1, b.u1);
   EXPECT_EQ(a.u2, b.u2);
