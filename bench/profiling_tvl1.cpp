@@ -14,7 +14,8 @@ int main() {
 
   std::printf("SECTION I PROFILING — SHARE OF TV-L1 TIME SPENT IN CHAMBOLLE\n\n");
   TextTable table({"Frame", "Levels", "Warps", "Inner iters", "Total (s)",
-                   "Chambolle (s)", "Chambolle share"});
+                   "Chambolle (s)", "Outer steps (s)", "Chambolle share",
+                   "Outer share"});
 
   double share_at_paper_settings = 0.0;
   double seconds_per_frame = 0.0;
@@ -33,7 +34,9 @@ int main() {
                    std::to_string(stats.chambolle_inner_iterations),
                    TextTable::num(stats.total_seconds, 3),
                    TextTable::num(stats.chambolle_seconds, 3),
-                   TextTable::num(100.0 * stats.chambolle_fraction(), 1) + "%"});
+                   TextTable::num(stats.outer_seconds, 3),
+                   TextTable::num(100.0 * stats.chambolle_fraction(), 1) + "%",
+                   TextTable::num(100.0 * stats.outer_fraction(), 1) + "%"});
     if (n == 192) {
       share_at_paper_settings = stats.chambolle_fraction();
       seconds_per_frame = stats.total_seconds;

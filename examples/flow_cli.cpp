@@ -359,8 +359,11 @@ int main(int argc, char** argv) {
     if (use_accel)
       std::printf("  time            : %.1f ms (host wall clock)\n", ms);
     else
-      std::printf("  time            : %.1f ms (%.0f%% in Chambolle)\n", ms,
-                  100.0 * stats.chambolle_fraction());
+      std::printf(
+          "  time            : %.1f ms (%.0f%% in Chambolle, %.0f%% in outer "
+          "steps)\n",
+          ms, 100.0 * stats.chambolle_fraction(),
+          100.0 * stats.outer_fraction());
     if (!use_accel && params.solver != tvl1::InnerSolver::kFixed)
       std::printf("  kernel backend  : %s\n",
                   kernels::backend_name(kernels::active_backend()));

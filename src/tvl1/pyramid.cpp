@@ -21,14 +21,19 @@ Image upsample_to(const Image& img, int rows, int cols) {
   return out;
 }
 
+void upsample_flow_component(const FlowField& flow, int k, int rows, int cols,
+                             Matrix<float>& out) {
+  const float scale =
+      k == 0 ? static_cast<float>(cols) / static_cast<float>(flow.cols())
+             : static_cast<float>(rows) / static_cast<float>(flow.rows());
+  grid::prolong_bilinear_into(k == 0 ? flow.u1 : flow.u2, rows, cols, out);
+  for (float& v : out) v *= scale;
+}
+
 FlowField upsample_flow(const FlowField& flow, int rows, int cols) {
   FlowField out;
-  const float scale_c = static_cast<float>(cols) / static_cast<float>(flow.cols());
-  const float scale_r = static_cast<float>(rows) / static_cast<float>(flow.rows());
-  out.u1 = upsample_to(flow.u1, rows, cols);
-  out.u2 = upsample_to(flow.u2, rows, cols);
-  for (float& v : out.u1) v *= scale_c;
-  for (float& v : out.u2) v *= scale_r;
+  upsample_flow_component(flow, 0, rows, cols, out.u1);
+  upsample_flow_component(flow, 1, rows, cols, out.u2);
   return out;
 }
 

@@ -25,6 +25,11 @@ namespace chambolle::tvl1 {
 [[nodiscard]] FlowField upsample_flow(const FlowField& flow, int rows,
                                       int cols);
 
+/// Component k of upsample_flow (0: u1, scaled by the column ratio; 1: u2,
+/// by the row ratio) into `out`, so the two can run on separate lanes.
+void upsample_flow_component(const FlowField& flow, int k, int rows, int cols,
+                             Matrix<float>& out);
+
 /// Image pyramid; level 0 is the finest (original) resolution.
 class Pyramid {
  public:

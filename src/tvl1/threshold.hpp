@@ -8,6 +8,8 @@
 //     v = u + lambda*theta*g          if rho(u) < -lambda*theta*|g|^2
 //     v = u - lambda*theta*g          if rho(u) >  lambda*theta*|g|^2
 //     v = u - rho(u)*g/|g|^2          otherwise.
+//
+// Defined in outer_step.cpp, whose fused pass shares this arithmetic.
 #pragma once
 
 #include "common/image.hpp"

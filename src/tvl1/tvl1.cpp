@@ -10,31 +10,13 @@
 #include "chambolle/solver.hpp"
 #include "common/stopwatch.hpp"
 #include "common/validation.hpp"
-#include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "tvl1/median_filter.hpp"
+#include "tvl1/outer_step.hpp"
 #include "tvl1/pyramid.hpp"
-#include "tvl1/threshold.hpp"
-#include "tvl1/warp.hpp"
 
 namespace chambolle::tvl1 {
 namespace {
-
-Image normalize(const Image& img) {
-  Image out = img;
-  for (float& v : out) v *= (1.f / 255.f);
-  return out;
-}
-
-// Pool the pipeline's parallel regions run on.  The tiled options carry the
-// injection point (TiledSolverOptions::pool) because the inner solves are
-// where almost all the parallel time goes; the pyramid builds ride on the
-// same pool so a serving engine slot never touches the shared default pool.
-parallel::ThreadPool& pool_for(const Tvl1Params& params) {
-  return params.tiled.pool != nullptr ? *params.tiled.pool
-                                      : parallel::default_pool();
-}
 
 // One Chambolle solve of a single component through the selected backend.
 // `out` receives the primal result; `scratch` persists across warps so the
@@ -90,17 +72,16 @@ long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
 }
 
 // The coarse-to-fine loop shared by both compute_flow overloads.  The caller
-// owns `total_clock` so the image overload's stats keep covering the pyramid
-// builds (as they always did), while the pyramid overload's stats cover only
-// the work it actually performs.
+// owns `total_clock` so the image overload's total keeps covering the pyramid
+// builds (as it always did), while the pyramid overload's stats cover only
+// the work it actually performs.  Laps split the rest: each warp's inner
+// solve is Chambolle time, everything between solves is outer-step time.
 FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
                              const Tvl1Params& params, Tvl1Stats* stats,
                              Stopwatch& total_clock) {
   const int levels = std::min(p0.levels(), p1.levels());
-  double chambolle_seconds = 0.0;
+  double chambolle_seconds = 0.0, outer_seconds = 0.0;
   long long inner_iters = 0;
-
-  FlowField u;
   // Reused across every warp of every level: the reference inner solver's
   // dual state and primal output land in these buffers, so the steady state
   // of the pyramid loop stops allocating fresh frames per warp.
@@ -108,50 +89,22 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // kResident: one persistent engine per flow component; tile buffers stay
   // resident across warps (rebuilt only when the level changes shape).
   std::unique_ptr<ResidentTiledEngine> resident_u1, resident_u2;
-  for (int level = levels - 1; level >= 0; --level) {
-    const telemetry::TraceSpan level_span("tvl1.level");
-    const Image& l0 = p0.level(level);
-    const Image& l1 = p1.level(level);
-    if (level == levels - 1) {
-      u = FlowField(l0.rows(), l0.cols());
-    } else {
-      u = upsample_flow(u, l0.rows(), l0.cols());
-    }
 
-    for (int w = 0; w < params.warps; ++w) {
-      const telemetry::TraceSpan warp_span("tvl1.warp");
-      const FlowField u0 = u;
-      const WarpResult wr = [&] {
-        const telemetry::TraceSpan span("tvl1.warp_gradients");
-        return warp_with_gradients(l1, u0);
-      }();
-      const ThresholdInputs in{l0,   wr.warped,     wr.grad, u0,
-                               u,    params.lambda, params.chambolle.theta};
-      const FlowField v = [&] {
-        const telemetry::TraceSpan span("tvl1.threshold");
-        return threshold_step(in);
-      }();
-
-      total_clock.lap();  // exclude warp/threshold time from the inner figure
-      {
-        const telemetry::TraceSpan span("tvl1.chambolle_inner");
-        inner_iters += inner_solve(v.u1, params, u.u1, inner_scratch,
-                                   resident_u1);
-        inner_iters += inner_solve(v.u2, params, u.u2, inner_scratch,
-                                   resident_u2);
-      }
-      chambolle_seconds += total_clock.lap();
-
-      if (params.median_filtering) {
-        const telemetry::TraceSpan span("tvl1.median_filter");
-        u = median_filter_flow(u);
-      }
-    }
-  }
+  total_clock.lap();  // the pyramid builds are neither phase
+  FlowField u = coarse_to_fine(
+      p0, p1, params, [&](const FlowField& v, FlowField& out, int, int) {
+        outer_seconds += total_clock.lap();
+        inner_iters +=
+            inner_solve(v.u1, params, out.u1, inner_scratch, resident_u1);
+        inner_iters +=
+            inner_solve(v.u2, params, out.u2, inner_scratch, resident_u2);
+        chambolle_seconds += total_clock.lap();
+      });
 
   if (stats != nullptr) {
     stats->total_seconds = total_clock.seconds();
     stats->chambolle_seconds = chambolle_seconds;
+    stats->outer_seconds = outer_seconds;
     stats->chambolle_inner_iterations = inner_iters;
     stats->levels_processed = levels;
   }
@@ -199,25 +152,9 @@ FlowField compute_flow(const Image& i0, const Image& i1,
   require_finite(i1, "compute_flow: frame1");
 
   const telemetry::TraceSpan flow_span("tvl1.compute_flow");
-  // One stopwatch with lap() replaces the former per-warp throwaway
-  // stopwatches; phase boundaries come from lap-to-lap deltas.
   Stopwatch total_clock;
-
-  // The two pyramids are independent; build them concurrently on the
-  // session's pool (frame-rate service work, not worth a spawn).
-  std::optional<Pyramid> p0_storage, p1_storage;
-  pool_for(params).parallel_for(
-      2, 2, [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const telemetry::TraceSpan span("tvl1.pyramid");
-          if (i == 0)
-            p0_storage.emplace(normalize(i0), params.pyramid_levels);
-          else
-            p1_storage.emplace(normalize(i1), params.pyramid_levels);
-        }
-      });
-  return flow_from_pyramids(*p0_storage, *p1_storage, params, stats,
-                            total_clock);
+  const auto [p0, p1] = normalized_pyramids(i0, i1, params);
+  return flow_from_pyramids(p0, p1, params, stats, total_clock);
 }
 
 FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,

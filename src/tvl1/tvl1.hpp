@@ -63,11 +63,17 @@ struct Tvl1Params {
 struct Tvl1Stats {
   double total_seconds = 0.0;
   double chambolle_seconds = 0.0;
+  /// Outer steps between the inner solves: I1's gradients, the fused
+  /// warp/threshold pass, upsampling (and the median filter when enabled).
+  double outer_seconds = 0.0;
   long long chambolle_inner_iterations = 0;  ///< summed over warps & levels
   int levels_processed = 0;
 
   [[nodiscard]] double chambolle_fraction() const {
     return total_seconds > 0.0 ? chambolle_seconds / total_seconds : 0.0;
+  }
+  [[nodiscard]] double outer_fraction() const {
+    return total_seconds > 0.0 ? outer_seconds / total_seconds : 0.0;
   }
 };
 

@@ -3,6 +3,8 @@
 // Each outer TV-L1 iteration warps I1 by the current flow estimate u0 and
 // linearizes the residual rho(u) = I1(x + u0) + <grad I1(x + u0), u - u0> - I0
 // around u0.  Sampling is bilinear with border clamping.
+//
+// Defined in outer_step.cpp, whose fused pass shares this arithmetic.
 #pragma once
 
 #include "common/image.hpp"

@@ -129,5 +129,20 @@ TEST(Threshold, ValidatesInputs) {
   (void)bad;
 }
 
+TEST(Threshold, RejectsAMismatchedPlaneOfAnyInput) {
+  // Every plane is read at i0's shape; one of another shape must be rejected
+  // (Matrix::operator() only asserts, so Release would read out of bounds).
+  const ThresholdCase s(1.f, 1.f, 1.f);
+  const Matrix<float> wrong(2, 3);
+  for (int plane = 0; plane < 7; ++plane) {
+    ThresholdCase b = s;
+    Matrix<float>* planes[] = {&b.i1w,  &b.grad.gx, &b.grad.gy, &b.u0.u1,
+                               &b.u0.u2, &b.u.u1,   &b.u.u2};
+    *planes[plane] = wrong;
+    EXPECT_THROW(threshold_step(b.inputs()), std::invalid_argument) << plane;
+    EXPECT_THROW(residual(b.inputs()), std::invalid_argument) << plane;
+  }
+}
+
 }  // namespace
 }  // namespace chambolle::tvl1

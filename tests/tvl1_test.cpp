@@ -87,6 +87,10 @@ TEST(Tvl1, StatsReportChambolleDominance) {
   // in acceptance_test.cpp.
   EXPECT_GT(stats.chambolle_fraction(), 0.3);
   EXPECT_LT(stats.chambolle_fraction(), 1.0);
+  // The outer steps are timed between the inner solves, disjoint from them.
+  EXPECT_GT(stats.outer_seconds, 0.0);
+  EXPECT_LE(stats.chambolle_seconds + stats.outer_seconds,
+            stats.total_seconds);
   EXPECT_EQ(stats.levels_processed, 3);
   EXPECT_EQ(stats.chambolle_inner_iterations,
             2LL * 60 * p.warps * p.pyramid_levels);

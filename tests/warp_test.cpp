@@ -48,6 +48,17 @@ TEST(Warp, ShapeMismatchThrows) {
   EXPECT_THROW(warp(img, flow), std::invalid_argument);
 }
 
+TEST(Warp, ShapeMismatchInEitherFlowComponentThrows) {
+  const Image img(4, 4);
+  FlowField flow(4, 4);
+  flow.u2 = Matrix<float>(4, 3);
+  EXPECT_THROW(warp(img, flow), std::invalid_argument);
+  EXPECT_THROW(warp_with_gradients(img, flow), std::invalid_argument);
+  flow = FlowField(4, 4);
+  flow.u1 = Matrix<float>(3, 4);
+  EXPECT_THROW(warp(img, flow), std::invalid_argument);
+}
+
 TEST(Warp, WarpUndoesTranslation) {
   // frame1 = frame0 translated by (dx, dy); warping frame1 by the true flow
   // must recover frame0 in the interior up to bilinear interpolation error,
