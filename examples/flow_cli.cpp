@@ -364,6 +364,9 @@ int main(int argc, char** argv) {
           "steps)\n",
           ms, 100.0 * stats.chambolle_fraction(),
           100.0 * stats.outer_fraction());
+    if (!use_accel)
+      std::printf("  inner runs      : %d (%lld inner iterations)\n",
+                  stats.inner_runs, stats.chambolle_inner_iterations);
     if (!use_accel && params.solver != tvl1::InnerSolver::kFixed)
       std::printf("  kernel backend  : %s\n",
                   kernels::backend_name(kernels::active_backend()));

@@ -26,6 +26,20 @@
 // (strip writes, then a release store of the epoch, acquired before the
 // gather) makes the exchange race-free, verified under TSan.
 //
+// One engine can carry several PLANES — independent problems of one shape
+// (TV-L1's two flow components) on one tiling, the way the paper's engine
+// runs the u1 and u2 PE arrays side by side on the same window.  The
+// EpochGraph holds planes x tiles nodes in plane-major order; planes share
+// no edge, so they are disconnected components of the graph (on two lanes
+// each lane's preferred block is one plane), and one run() advances every
+// plane in one parallel region.  The single-plane engine is the K = 1 case.
+//
+// Between runs the resident state is EXACT everywhere: run() ends by
+// refreshing every halo ring from the final strips, so load (reset_v /
+// reset_duals), profitable write-back (snapshot) and primal recovery
+// (result, result_into) are per-tile work, run tile-parallel on the
+// engine's pool lanes with each lane taking its own block of tiles.
+//
 // Correctness is the same machine-checkable argument as the pass-based
 // solver, by induction over passes: at every pass start a tile buffer holds
 // the exact global state (profitable cells by the dependency-cone argument,
@@ -39,6 +53,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chambolle/params.hpp"
@@ -99,16 +114,21 @@ struct RunPolicy {
 };
 
 /// Outcome of one run(): how many passes each tile actually ran, which
-/// tiles converged, and what the coarse correction did.
+/// tiles converged, and what the coarse correction did.  Per-tile vectors
+/// hold planes x tiles-per-plane entries, plane-major; the counts sum over
+/// planes.
 struct RunReport {
   int pass_cap = 0;                   ///< ceil(iterations / merge depth)
-  std::size_t tiles = 0;
+  int planes = 1;
+  std::size_t tiles = 0;              ///< over all planes
   std::size_t tiles_converged = 0;    ///< retired before the cap
   std::size_t total_tile_passes = 0;  ///< sum over tiles of passes executed
   /// Sum over tiles of Chambolle iterations actually executed — the
   /// truncated final pass included, so this is NOT always
   /// total_tile_passes * merge_iterations.
   std::size_t total_iterations = 0;
+  /// total_iterations split by plane.
+  std::vector<std::size_t> plane_iterations;
   std::uint64_t stolen_passes = 0;    ///< passes run off the preferred lane
   std::vector<int> tile_passes;       ///< per-tile passes executed
   /// Per-tile residual of the last executed pass (retirement policy only;
@@ -116,12 +136,14 @@ struct RunReport {
   std::vector<float> tile_residuals;
 
   int coarse_levels = 0;         ///< realized ladder depth (0 = correction off)
-  std::uint64_t coarse_solves = 0;     ///< firings whose correction applied
+  /// Corrections applied (one per plane and firing that applied one).
+  std::uint64_t coarse_solves = 0;
   std::uint64_t coarse_gated = 0;      ///< firings declined by the progress
                                        ///< gate or energy safeguard (includes
                                        ///< the baseline firing)
   std::uint64_t tiles_unretired = 0;   ///< resurrections forced by corrections
-  float last_correction_max = 0.f;     ///< max |delta p| of the final cycle
+  /// max over planes of max |delta p| of each plane's final applied cycle
+  float last_correction_max = 0.f;
   double rendezvous_seconds = 0.0;     ///< wall time inside rendezvous bodies
 
   [[nodiscard]] bool all_converged() const {
@@ -144,7 +166,7 @@ struct RunReport {
 /// run() calls), used by the E6 overhead bench and the acceptance tests.
 struct ResidentTiledStats {
   int passes = 0;
-  std::size_t tiles = 0;
+  std::size_t tiles = 0;  ///< over all planes
   /// Floats exchanged through mailboxes per pass (both dual components);
   /// the per-pass traffic of the engine, vs. the reload engine's
   /// ~4 * frame_elements (2 fields loaded + 2 stored).
@@ -161,31 +183,45 @@ struct ResidentTiledStats {
 /// The engine object: buffers persist across run() calls, which is what lets
 /// warm-started outer loops (TV-L1 warps) keep duals resident and re-stream
 /// only v.  Use solve_resident() for the one-shot form.
+///
+/// Every buffer is allocated on the constructing thread; parallel regions
+/// only fill buffers that already exist.
 class ResidentTiledEngine {
  public:
-  /// Tiles `v` with options.{tile_rows, tile_cols, merge_iterations} and
-  /// loads the resident buffers; `initial`, when non-null, warm-starts the
-  /// duals (otherwise zeros).  Validates like solve_tiled, and rejects
-  /// non-finite v or initial duals (std::invalid_argument).
+  /// Single-plane engine: tiles `v` with options.{tile_rows, tile_cols,
+  /// merge_iterations} and loads the resident buffers; `initial`, when
+  /// non-null, warm-starts the duals (otherwise zeros).  Validates like
+  /// solve_tiled, and rejects non-finite v or initial duals
+  /// (std::invalid_argument).
   ResidentTiledEngine(const Matrix<float>& v, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       const DualField* initial = nullptr);
+  /// K-plane engine: plane k solves *planes[k] from zero duals.  K >= 1; the
+  /// planes share one shape and one tiling.  Same validation as above, plus
+  /// std::invalid_argument for no planes, a null plane or a shape mismatch.
+  ResidentTiledEngine(std::span<const Matrix<float>* const> planes,
+                      const ChambolleParams& params,
+                      const TiledSolverOptions& options);
   ~ResidentTiledEngine();
 
   ResidentTiledEngine(const ResidentTiledEngine&) = delete;
   ResidentTiledEngine& operator=(const ResidentTiledEngine&) = delete;
 
-  /// Advances the solve by `iterations` Chambolle iterations, split into
+  /// Advances every plane by `iterations` Chambolle iterations, split into
   /// ceil(iterations / merge_iterations) halo-exchange passes (the last one
-  /// truncated to the remainder) under `policy`.  Under the fixed policy
-  /// runs are composable: run(a); run(b) is bit-exact equal to run(a + b).
-  /// Every policy leaves the resident state coherent for snapshot()/
-  /// result() and for further run() calls.
+  /// truncated to the remainder) under `policy`, in one parallel region.
+  /// Each plane's result is bit-identical to a single-plane engine's run on
+  /// that plane alone, under every policy.  Under the fixed policy runs are
+  /// composable: run(a); run(b) is bit-exact equal to run(a + b).  Every
+  /// policy leaves the resident state coherent for snapshot()/result() and
+  /// for further run() calls.
   RunReport run(int iterations, const RunPolicy& policy = {});
 
-  /// On-demand profitable write-back of the CURRENT dual state into `out`
-  /// (resized as needed) — the telemetry-snapshot path; does not disturb the
-  /// resident buffers.
+  /// On-demand profitable write-back of plane `plane`'s CURRENT dual state
+  /// into `out` (resized as needed) — does not disturb the resident buffers.
+  void snapshot(int plane, DualField& out) const;
+  /// Single-plane form of snapshot(0, out); std::logic_error on a K-plane
+  /// engine (as for every single-plane form below).
   void snapshot(DualField& out) const;
 
   /// Replaces the input field v (same shape) without touching the resident
@@ -193,58 +229,97 @@ class ResidentTiledEngine {
   /// inner solves.  When `initial` is non-null the duals are reloaded from
   /// it instead (cold restart in place).  Validates every argument (shape,
   /// finite values) before touching any state, so a rejected call leaves
-  /// the engine exactly as it was.
+  /// the engine exactly as it was.  Single-plane form.
   void reset_v(const Matrix<float>& v, const DualField* initial = nullptr);
+  /// Every plane's form: plane k's input becomes *v[k] (v.size() ==
+  /// planes()).  The duals stay resident, or with `zero_duals` are zeroed
+  /// in the same tile pass (reset_v + reset_duals in one parallel region).
+  /// Same validation contract.
+  void reset_v(std::span<const Matrix<float>* const> v,
+               bool zero_duals = false);
 
-  /// Zeroes the resident duals in place (Algorithm 1's cold start) without
-  /// reallocating tile buffers — the default per-warp restart of the TV-L1
-  /// integration, bit-exact equal to constructing a fresh engine.
-  void reset_duals() { load_duals(nullptr); }
+  /// Zeroes every plane's resident duals in place (Algorithm 1's cold start)
+  /// without reallocating tile buffers — the default per-warp restart of
+  /// the TV-L1 integration, bit-exact equal to constructing a fresh engine.
+  void reset_duals();
 
   /// snapshot() + primal recovery: the ChambolleResult of the state so far.
+  /// Single-plane form.
   [[nodiscard]] ChambolleResult result() const;
+  /// Primal recovery of every plane in one tile-parallel region: *u[k]
+  /// (resized as needed) receives plane k's u = v - theta div p, computed
+  /// per tile from the resident buffers — no dual write-back.  u.size() ==
+  /// planes().
+  void result_into(std::span<Matrix<float>* const> u) const;
 
   [[nodiscard]] const ResidentTiledStats& stats() const { return stats_; }
   [[nodiscard]] const TilingPlan& plan() const { return plan_; }
+  [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] int rows() const { return plan_.frame_rows; }
   [[nodiscard]] int cols() const { return plan_.frame_cols; }
 
  private:
   struct TileBuffers;
   struct Mailbox;
+  /// What fill() does to the duals of every plane.
+  enum class Duals { kKeep, kZero, kLoad };
 
+  /// Shared construction: tiling, buffer allocation (zeros), mailboxes,
+  /// graph.  Validation is the caller's.
+  void build(int rows, int cols);
   /// The pool this engine's parallel regions run on: options.pool when the
   /// caller injected one (the serving fleet gives every engine its own
   /// lane-partitioned pool so concurrent sessions don't serialize on
   /// default_pool()'s region lock), default_pool() otherwise.
   [[nodiscard]] parallel::ThreadPool& pool() const;
-  /// Zeroes or reloads the duals in place AND restarts the pass/parity
-  /// clock and frozen-pass markers — the full state reset that makes a
-  /// reused engine indistinguishable from a freshly constructed one (the
-  /// engine-reuse contract pooled serving fleets rely on; regression-tested
-  /// by tests/engine_reuse_test.cpp).
-  void load_duals(const DualField* initial);
-  /// Refreshes tile ti's halo ring from the neighbors' pass-(g-1) strips.
-  void gather_halos(std::size_t ti, int g);
-  /// Publishes tile ti's pass-g strips into the parity slot g & 1.
-  void publish_strips(std::size_t ti, int g);
-  /// Publishes tile ti's frozen-pass marker (retirement at pass g), ordered
+  /// Lanes of this engine's regions: the tiled lane request, capped by the
+  /// node count.
+  [[nodiscard]] int lanes() const;
+  /// Runs fn(node, lane) for nodes [first, first + count), each lane taking
+  /// a contiguous block — for the whole node range the block EpochGraph
+  /// prefers for it, so a tile's load and write-back run on the lane that
+  /// usually runs its passes.
+  template <class Fn>
+  void for_nodes(std::size_t first, std::size_t count, const Fn& fn) const;
+  /// Tile-parallel load: plane k's v windows from *v[k] (when v is
+  /// non-empty), and every plane's duals per `duals` (kLoad: from
+  /// `initial`, single-plane only).  kZero/kLoad also restart the pass/
+  /// parity clock and the frozen-pass markers — the full state reset that
+  /// makes a reused engine indistinguishable from a freshly constructed one
+  /// (the engine-reuse contract pooled serving fleets rely on;
+  /// regression-tested by tests/engine_reuse_test.cpp).
+  void fill(std::span<const Matrix<float>* const> v, Duals duals,
+            const DualField* initial);
+  /// Throws std::logic_error unless planes() == 1.
+  void require_single_plane(const char* who) const;
+  /// Refreshes node's halo ring from its neighbors' pass-(g-1) strips.
+  void gather_halos(std::size_t node, int g);
+  /// Publishes node's pass-g strips into the parity slot g & 1.
+  void publish_strips(std::size_t node, int g);
+  /// Publishes node's frozen-pass marker (retirement at pass g), ordered
   /// before the terminal epoch store: later gathers read its final strips
   /// at parity g.  The cross-parity mirror is deferred to run()'s
   /// quiescent epilogue — doing it here would race neighbors concurrently
   /// gathering the same pass (see the comments in resident_tiled.cpp).
-  void mark_frozen(std::size_t ti, int g);
+  void mark_frozen(std::size_t node, int g);
+  /// Profitable write-back of one node into its plane's frame `out`.
+  void write_back(std::size_t node, DualField& out) const;
+  /// Plane `plane`'s input field, assembled from its tiles' windows.
+  [[nodiscard]] Matrix<float> frame_v(int plane) const;
 
   ChambolleParams params_;
   TiledSolverOptions options_;
   TilingPlan plan_;
-  Matrix<float> frame_v_;  ///< kept for result()'s primal recovery
+  int planes_ = 1;
+  /// Per node (plane * tiles-per-plane + tile): the resident buffers.
   std::vector<TileBuffers> tiles_;
+  /// Per plane and edge, plane-major: plane k's edge e is
+  /// mail_[k * edges + e].
   std::vector<Mailbox> mail_;
-  std::vector<std::vector<int>> in_edges_;   // per tile: indices into mail_
-  std::vector<std::vector<int>> out_edges_;  // per tile: indices into mail_
+  std::vector<std::vector<int>> in_edges_;   // per node: indices into mail_
+  std::vector<std::vector<int>> out_edges_;  // per node: indices into mail_
   std::unique_ptr<parallel::EpochGraph> graph_;
-  /// Per-tile retirement pass, -1 while live.  Set (release) by the retiring
+  /// Per-node retirement pass, -1 while live.  Set (release) by the retiring
   /// body before its terminal epoch publish, read (acquire) by gather_halos
   /// to pick the mailbox parity, cleared in run()'s epilogue after the
   /// frozen strips are mirrored into both slots.

@@ -9,14 +9,6 @@
 #include "telemetry/profiler.hpp"
 
 namespace chambolle::parallel {
-namespace {
-
-/// First node of lane `lane`'s contiguous block.
-int block_begin(int nodes, int lanes, int lane) {
-  return static_cast<int>(static_cast<long long>(nodes) * lane / lanes);
-}
-
-}  // namespace
 
 EpochGraph::EpochGraph(std::vector<std::vector<int>> neighbors)
     : adj_(std::move(neighbors)), state_(adj_.size()) {
@@ -152,8 +144,11 @@ EpochGraph::RunStats EpochGraph::run(int max_passes, int lanes,
             num_firings > 0 ? rv_epoch.load(std::memory_order_acquire) : 0;
         // Affinity-preferring sweep: own block first (scan starts at
         // `begin` and wraps), so a node keeps its preferred lane while that
-        // lane has runnable work, and migrates only when capacity frees up.
+        // lane has runnable work, and migrates only when capacity frees up:
+        // a sweep that ran anything in the own block starts over there
+        // instead of stealing.
         for (int k = 0; k < n; ++k) {
+          if (k == end - begin && progressed) break;
           const int node = begin + k < n ? begin + k : begin + k - n;
           NodeState& s = state_[static_cast<std::size_t>(node)];
           // Acquire pairs with the release publish of the node's previous

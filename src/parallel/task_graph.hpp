@@ -152,6 +152,13 @@ class EpochGraph {
   /// waits happen only at block seams.  Work stealing may run it elsewhere.
   [[nodiscard]] int owner(int node, int lanes) const;
 
+  /// First node of lane `lane`'s contiguous block when `nodes` nodes run on
+  /// `lanes` lanes (lane == lanes gives the end): the split owner() and
+  /// run() use, exposed so callers can place per-node work on the same lane.
+  [[nodiscard]] static int block_begin(int nodes, int lanes, int lane) {
+    return static_cast<int>(static_cast<long long>(nodes) * lane / lanes);
+  }
+
  private:
   struct alignas(64) NodeState {
     std::atomic<int> epoch{0};  ///< passes completed; release on publish

@@ -369,10 +369,12 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       // The fixed schedule: bit-exact and lane-count independent, which
       // is what makes the concurrent-sessions oracle possible.
       engine.run(options_.params.chambolle.iterations);
+      // One profitable write-back per request: the duals the stream keeps
+      // warm.  u is recovered per tile from the engine's buffers.
       engine.snapshot(s.duals);
       s.has_duals = true;
-      ChambolleResult result = engine.result();
-      reply.u = std::move(result.u);
+      Matrix<float>* u[] = {&reply.u};
+      engine.result_into(u);
       reply.status = ReplyStatus::kOk;
     } else {
       s.flow.set_pool(slot.pool.get());

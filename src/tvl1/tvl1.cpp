@@ -18,57 +18,54 @@
 namespace chambolle::tvl1 {
 namespace {
 
-// One Chambolle solve of a single component through the selected backend.
-// `out` receives the primal result; `scratch` persists across warps so the
-// reference path reuses its dual-field and output buffers instead of
-// allocating per frame (solve_into + the preallocated recover_u_into path).
-// `resident` is the component's persistent resident-tile engine (kResident
-// only): tile buffers survive across warps of a level, so the steady state
-// re-streams only v; it is rebuilt when the pyramid level changes shape.
-// Returns the inner-iteration count this solve contributed to the stats:
-// the fixed budget, or (resident) the tile-average iterations actually
-// executed.
-long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
-                      Matrix<float>& out, ChambolleResult& scratch,
-                      std::unique_ptr<ResidentTiledEngine>& resident) {
-  switch (params.solver) {
-    case InnerSolver::kReference:
-      solve_into(v, params.chambolle, scratch);
+// The inner solve of one warp: both components of u from v, into `out`.
+// kResident runs the components as the two planes of one engine, in one
+// run; the engine persists across the warps of a level, so the steady state
+// re-streams only v, and is rebuilt when the level changes shape.  The other
+// solvers take one component at a time; the reference path reuses
+// `scratch`'s dual-field and output buffers (solve_into + recover_u_into),
+// so it does not allocate per warp.  Returns the inner iterations for the
+// stats: the fixed budget, or (resident) per component the tile-average of
+// the iterations actually executed (total iterations already discount the
+// truncated final pass, unlike passes * merge_iterations).
+long long inner_solve(const FlowField& v, const Tvl1Params& params,
+                      FlowField& out, ChambolleResult& scratch,
+                      std::unique_ptr<ResidentTiledEngine>& engine) {
+  if (params.solver == InnerSolver::kResident) {
+    const Matrix<float>* in[] = {&v.u1, &v.u2};
+    if (engine == nullptr || engine->rows() != v.u1.rows() ||
+        engine->cols() != v.u1.cols())
+      engine = std::make_unique<ResidentTiledEngine>(in, params.chambolle,
+                                                     params.tiled);
+    else
+      engine->reset_v(in, /*zero_duals=*/!params.warm_start_duals);
+    const RunReport rep =
+        engine->run(params.chambolle.iterations, params.resident_policy);
+    Matrix<float>* u[] = {&out.u1, &out.u2};
+    engine->result_into(u);
+    const std::size_t tiles = engine->plan().tiles.size();
+    long long iterations = 0;
+    for (const std::size_t it : rep.plane_iterations)
+      iterations += static_cast<long long>(it / tiles);
+    return iterations;
+  }
+  for (int k = 0; k < 2; ++k) {
+    const Matrix<float>& vk = k == 0 ? v.u1 : v.u2;
+    Matrix<float>& uk = k == 0 ? out.u1 : out.u2;
+    if (params.solver == InnerSolver::kReference) {
+      solve_into(vk, params.chambolle, scratch);
       // Hand the result out and keep the previous output buffer (same shape
-      // at this pyramid level) as next warp's recover_u_into destination.
-      std::swap(out, scratch.u);
-      return params.chambolle.iterations;
-    case InnerSolver::kTiled:
-      out = solve_tiled(v, params.chambolle, params.tiled).u;
-      return params.chambolle.iterations;
-    case InnerSolver::kResident: {
-      if (resident == nullptr || resident->rows() != v.rows() ||
-          resident->cols() != v.cols()) {
-        resident = std::make_unique<ResidentTiledEngine>(v, params.chambolle,
-                                                         params.tiled);
-      } else {
-        resident->reset_v(v);
-        if (!params.warm_start_duals) resident->reset_duals();
-      }
-      const RunReport rep =
-          resident->run(params.chambolle.iterations, params.resident_policy);
-      ChambolleResult r = resident->result();
-      std::swap(out, r.u);
-      // Tile-average of the iterations actually executed (the fixed budget
-      // unless tiles retired); total_iterations already discounts the
-      // truncated final pass, unlike passes * merge_iterations.
-      return rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
-                                 static_cast<long long>(rep.tiles)
-                           : 0;
-    }
-    case InnerSolver::kFixed: {
-      // The 13-bit Q5.8 v-format spans [-16,16); flow components at any
-      // pyramid level stay well inside it for the supported image sizes.
-      out = solve_fixed(v, params.chambolle).u;
-      return params.chambolle.iterations;
+      // at this level) as the next solve's recover_u_into target.
+      std::swap(uk, scratch.u);
+    } else if (params.solver == InnerSolver::kTiled) {
+      uk = solve_tiled(vk, params.chambolle, params.tiled).u;
+    } else {
+      // kFixed.  The 13-bit Q5.8 v-format spans [-16,16); flow components
+      // at any pyramid level stay well inside it for the supported sizes.
+      uk = solve_fixed(vk, params.chambolle).u;
     }
   }
-  throw std::logic_error("inner_solve: unknown solver");
+  return 2LL * params.chambolle.iterations;
 }
 
 // The coarse-to-fine loop shared by both compute_flow overloads.  The caller
@@ -86,18 +83,16 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // dual state and primal output land in these buffers, so the steady state
   // of the pyramid loop stops allocating fresh frames per warp.
   ChambolleResult inner_scratch;
-  // kResident: one persistent engine per flow component; tile buffers stay
-  // resident across warps (rebuilt only when the level changes shape).
-  std::unique_ptr<ResidentTiledEngine> resident_u1, resident_u2;
+  // kResident: one two-plane engine per level, kept across its warps.
+  std::unique_ptr<ResidentTiledEngine> resident;
+  int inner_runs = 0;
 
   total_clock.lap();  // the pyramid builds are neither phase
   FlowField u = coarse_to_fine(
       p0, p1, params, [&](const FlowField& v, FlowField& out, int, int) {
         outer_seconds += total_clock.lap();
-        inner_iters +=
-            inner_solve(v.u1, params, out.u1, inner_scratch, resident_u1);
-        inner_iters +=
-            inner_solve(v.u2, params, out.u2, inner_scratch, resident_u2);
+        inner_iters += inner_solve(v, params, out, inner_scratch, resident);
+        inner_runs += params.solver == InnerSolver::kResident ? 1 : 2;
         chambolle_seconds += total_clock.lap();
       });
 
@@ -106,6 +101,7 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
     stats->chambolle_seconds = chambolle_seconds;
     stats->outer_seconds = outer_seconds;
     stats->chambolle_inner_iterations = inner_iters;
+    stats->inner_runs = inner_runs;
     stats->levels_processed = levels;
   }
   static telemetry::Counter& c_flows =

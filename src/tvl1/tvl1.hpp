@@ -67,6 +67,10 @@ struct Tvl1Stats {
   /// warp/threshold pass, upsampling (and the median filter when enabled).
   double outer_seconds = 0.0;
   long long chambolle_inner_iterations = 0;  ///< summed over warps & levels
+  /// Inner solver invocations: engine runs for kResident (one per warp, both
+  /// components as planes of one engine), component solves otherwise (two
+  /// per warp).
+  int inner_runs = 0;
   int levels_processed = 0;
 
   [[nodiscard]] double chambolle_fraction() const {

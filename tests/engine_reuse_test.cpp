@@ -8,11 +8,12 @@
 // The bug class this pins down: adaptive state (frozen_pass_ markers,
 // retirement redirects, mailbox parities) leaking into the next solve.
 // run()'s quiescent epilogue normally clears the markers, but an aborted
-// run skips it, and before this fix neither load_duals() nor
+// run skips it, and before this fix neither the dual reload nor
 // run() re-cleared them — a later gather could then redirect to a stale
 // frozen halo slot.  No public API aborts a run mid-flight (kernel bodies
 // don't throw), so these tests pin the whole reuse-equals-fresh invariant
-// class; the explicit marker clears in load_duals()/run() harden the
+// class; the explicit marker clears in the dual reload (reset_duals,
+// reset_v with initial duals) and run() harden the
 // abort path that can't be triggered from here.
 #include "chambolle/resident_tiled.hpp"
 

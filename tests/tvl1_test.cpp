@@ -96,6 +96,33 @@ TEST(Tvl1, StatsReportChambolleDominance) {
             2LL * 60 * p.warps * p.pyramid_levels);
 }
 
+TEST(Tvl1, StatsCountInnerRuns) {
+  // kResident solves both flow components as the two planes of one engine:
+  // one engine run per warp, 20 at 4 levels x 5 warps.  Every other solver
+  // solves the components one after the other: 40.  The iteration count is
+  // the same either way.
+  const auto wl = workloads::translating_scene(128, 128, 1.f, 0.5f, 43);
+  Tvl1Params p;
+  p.pyramid_levels = 4;
+  p.warps = 5;
+  p.chambolle.iterations = 12;
+  p.tiled.tile_rows = 32;
+  p.tiled.tile_cols = 32;
+  Tvl1Stats stats;
+  for (const InnerSolver solver : {InnerSolver::kReference, InnerSolver::kTiled,
+                                   InnerSolver::kFixed}) {
+    p.solver = solver;
+    (void)compute_flow(wl.frame0, wl.frame1, p, &stats);
+    EXPECT_EQ(stats.levels_processed, 4);
+    EXPECT_EQ(stats.inner_runs, 40);
+    EXPECT_EQ(stats.chambolle_inner_iterations, 2LL * 12 * 5 * 4);
+  }
+  p.solver = InnerSolver::kResident;
+  (void)compute_flow(wl.frame0, wl.frame1, p, &stats);
+  EXPECT_EQ(stats.inner_runs, 20);
+  EXPECT_EQ(stats.chambolle_inner_iterations, 2LL * 12 * 5 * 4);
+}
+
 TEST(Tvl1, TiledBackendMatchesReferenceExactly) {
   // The tiled inner solver is bit-exact, so the whole pipeline must be too.
   const auto wl = workloads::translating_scene(48, 48, 1.5f, 0.5f, 31);
